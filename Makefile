@@ -31,15 +31,16 @@ bench:
 bench-baseline:
 	./scripts/bench_baseline.sh
 
-# bench-compare records coroutine-vs-flat backend node-rounds/s per
-# protocol — including the core Algorithm 3-5 pipeline and the PR-7
-# strict-CONGEST/LOCAL ports — plus the Config.Workers scaling sweep,
-# the workers×topology grid, the batch-runner amortization pair, the
-# dynamic-maintainer incremental-vs-recompute switch pair, the sharded
-# serving group and the telemetry-overhead group into BENCH_pr9.json
-# (set BENCHTIME=3s and COUNT=5 for stabler numbers).
+# bench-compare records the engine entry points' and every protocol's
+# node-rounds/s — including the core Algorithm 3-5 pipeline and the
+# strict-CONGEST/LOCAL executions — plus the Config.Workers scaling
+# sweep, the workers×topology grid, the batch-runner amortization pair,
+# the dynamic-maintainer pairs, the sharded serving group and the
+# telemetry-overhead group into the file named by OUT, e.g.
+# make bench-compare OUT=BENCH_compare.json (set BENCHTIME=3s and
+# COUNT=5 for stabler numbers).
 bench-compare:
-	./scripts/bench_compare.sh
+	./scripts/bench_compare.sh $(OUT)
 
 # telemetry-smoke boots a real distmatchd (serving + debug listeners),
 # drives applies through a shard kill/restart, and asserts /metrics
@@ -58,7 +59,7 @@ loadtest-smoke:
 	./scripts/loadtest.sh smoke
 
 # profile captures pprof CPU + allocation profiles and a runtime trace of
-# a multicore flat-backend run (override PROFILE_ARGS to aim elsewhere);
+# a multicore run (override PROFILE_ARGS to aim elsewhere);
 # inspect with `go tool pprof profiles/cpu.pprof` / `go tool trace
 # profiles/run.trace`.
 PROFILE_ARGS ?= -algo bipartite -n 4096 -deg 8 -k 3 -workers 0 -repeat 5 -opt=false

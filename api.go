@@ -20,6 +20,12 @@
 // executions. By default algorithms run with a global-termination oracle
 // (each use is one simulator round, counted in Stats.OracleCalls; see
 // DESIGN.md §2); pass Budgeted() for the paper's fixed w.h.p. budgets.
+//
+// Every entry point executes its protocol as flat per-node state machines
+// on the simulator (zero stack switches, 3-13x the node-rounds/s of
+// blocking coroutine programs; see DESIGN.md §1). The blocking forms are
+// kept unexported inside the algorithm packages as readable references,
+// pinned bit-identical to the flat forms by their TestFlat* suites.
 package distmatch
 
 import (
@@ -49,22 +55,6 @@ type (
 	Matching = graph.Matching
 	// Stats reports rounds, messages, bits and oracle use of a run.
 	Stats = dist.Stats
-	// ExecutionBackend selects the engine backend for algorithms with a
-	// flat (state-machine) port; see WithBackend.
-	ExecutionBackend = dist.Backend
-)
-
-// The available execution backends. Every algorithm entry point now has a
-// RoundProgram port — including strict-CONGEST execution (StrictCongest /
-// MCMGeneral with StrictCapacityBits) and the LOCAL-model MCMGeneric — so
-// Auto (the default) always runs the flat zero-stack-switch backend. The
-// two backends are bit-identical for equal seeds, so the choice only
-// affects throughput (flat measures 3-13x the node-rounds/s; see
-// DESIGN.md §1, BENCH_pr2.json, BENCH_pr3.json and BENCH_pr7.json).
-const (
-	BackendAuto      = dist.BackendAuto
-	BackendCoroutine = dist.BackendCoroutine
-	BackendFlat      = dist.BackendFlat
 )
 
 // NewBuilder returns a graph builder on n nodes.
@@ -85,7 +75,6 @@ type config struct {
 	idleStop int
 	trace    []*Matching
 	strict   int
-	backend  dist.Backend
 }
 
 // Budgeted switches from oracle-based convergence detection to the paper's
@@ -103,14 +92,6 @@ func IdleStop(n int) Option { return func(c *config) { c.idleStop = n } }
 // Trace captures per-iteration matchings from MWMHalf; the slice must have
 // core.WeightedIters(eps)+1 entries.
 func Trace(t []*Matching) Option { return func(c *config) { c.trace = t } }
-
-// WithBackend requests an execution backend for algorithms that have both
-// a blocking (coroutine) and a flat (state-machine) form. Backends are
-// bit-identical; flat measures 3-5x the node-rounds/s. Algorithms without
-// a flat port ignore the request.
-func WithBackend(b ExecutionBackend) Option {
-	return func(c *config) { c.backend = b }
-}
 
 // StrictCongest makes MCMBipartite run in strict CONGEST mode: no message
 // exceeds capacityBits bits; larger values are pipelined chunk by chunk
@@ -132,7 +113,7 @@ func buildConfig(opts []Option) config {
 // the randomized Israeli–Itai algorithm in O(log n) rounds w.h.p.
 func MaximalMatching(g *Graph, seed uint64, opts ...Option) Result {
 	c := buildConfig(opts)
-	m, st := israeliitai.RunWithConfig(g, dist.Config{Seed: seed, Backend: c.backend}, !c.budgeted)
+	m, st := israeliitai.RunWithConfig(g, dist.Config{Seed: seed}, !c.budgeted)
 	return Result{m, st}
 }
 
@@ -142,7 +123,7 @@ func MaximalMatching(g *Graph, seed uint64, opts ...Option) Result {
 // exponential in 1/ε — use it on small or sparse instances only.
 func MCMGeneric(g *Graph, eps float64, seed uint64, opts ...Option) Result {
 	c := buildConfig(opts)
-	m, st := core.GenericMCMWithConfig(g, eps, dist.Config{Seed: seed, Backend: c.backend}, !c.budgeted)
+	m, st := core.GenericMCMWithConfig(g, eps, dist.Config{Seed: seed}, !c.budgeted)
 	return Result{m, st}
 }
 
@@ -152,10 +133,10 @@ func MCMGeneric(g *Graph, eps float64, seed uint64, opts ...Option) Result {
 func MCMBipartite(g *Graph, k int, seed uint64, opts ...Option) Result {
 	c := buildConfig(opts)
 	if c.strict > 0 {
-		m, st := core.BipartiteMCMStrictWithConfig(g, k, dist.Config{Seed: seed, Backend: c.backend}, c.strict, !c.budgeted)
+		m, st := core.BipartiteMCMStrictWithConfig(g, k, dist.Config{Seed: seed}, c.strict, !c.budgeted)
 		return Result{m, st}
 	}
-	m, st := core.BipartiteMCMWithConfig(g, k, dist.Config{Seed: seed, Backend: c.backend}, !c.budgeted)
+	m, st := core.BipartiteMCMWithConfig(g, k, dist.Config{Seed: seed}, !c.budgeted)
 	return Result{m, st}
 }
 
@@ -164,7 +145,7 @@ func MCMBipartite(g *Graph, k int, seed uint64, opts ...Option) Result {
 // repeated random bipartite sampling. k must exceed 2.
 func MCMGeneral(g *Graph, k int, seed uint64, opts ...Option) Result {
 	c := buildConfig(opts)
-	m, st := core.GeneralMCMWithConfig(g, k, dist.Config{Seed: seed, Backend: c.backend}, core.GeneralOptions{
+	m, st := core.GeneralMCMWithConfig(g, k, dist.Config{Seed: seed}, core.GeneralOptions{
 		Iters:    c.iters,
 		IdleStop: c.idleStop,
 		Oracle:   !c.budgeted,
@@ -177,7 +158,7 @@ func MCMGeneral(g *Graph, k int, seed uint64, opts ...Option) Result {
 // on the wrap-gain weights w_M.
 func MWMHalf(g *Graph, eps float64, seed uint64, opts ...Option) Result {
 	c := buildConfig(opts)
-	m, st := core.WeightedMWMWithConfig(g, dist.Config{Seed: seed, Backend: c.backend}, eps, !c.budgeted, c.trace)
+	m, st := core.WeightedMWMWithConfig(g, dist.Config{Seed: seed}, eps, !c.budgeted, c.trace)
 	return Result{m, st}
 }
 
@@ -185,7 +166,7 @@ func MWMHalf(g *Graph, eps float64, seed uint64, opts ...Option) Result {
 // weight-class black box (the Lemma 4.4 substrate; see DESIGN.md §3).
 func MWMQuarter(g *Graph, eps float64, seed uint64, opts ...Option) Result {
 	c := buildConfig(opts)
-	m, st := lpr.RunWithConfig(g, dist.Config{Seed: seed, Backend: c.backend}, eps, !c.budgeted)
+	m, st := lpr.RunWithConfig(g, dist.Config{Seed: seed}, eps, !c.budgeted)
 	return Result{m, st}
 }
 
@@ -193,7 +174,7 @@ func MWMQuarter(g *Graph, eps float64, seed uint64, opts ...Option) Result {
 // the membership vector.
 func MIS(g *Graph, seed uint64, opts ...Option) ([]bool, *Stats) {
 	c := buildConfig(opts)
-	return mis.RunWithConfig(g, dist.Config{Seed: seed, Backend: c.backend}, !c.budgeted)
+	return mis.RunWithConfig(g, dist.Config{Seed: seed}, !c.budgeted)
 }
 
 // ---- Dynamic maintenance (incremental matching over mutable graphs) ----
@@ -253,7 +234,7 @@ func NewMaintainer(g *Graph, opts MaintainerOptions) *Maintainer {
 // seeded, replayable schedule of node crashes, per-arc message drops and
 // injected panics, consulted at round boundaries of every run it is
 // installed for. Identical plans on identical runs replay bit-identically
-// on either backend.
+// at any worker count.
 type (
 	// FaultPlan is a deterministic fault schedule; build one with
 	// NewFaultPlan or RandomFaultPlan and arm it with

@@ -162,8 +162,8 @@ func TestFacadeBuilder(t *testing.T) {
 	}
 }
 
-// TestFacadeBackendOption proves the WithBackend option is threaded
-// through the facade and that both backends give bit-identical results.
+// TestFacadeMaintainer drives the facade Maintainer through a recompute,
+// a mass delete and an audit.
 func TestFacadeMaintainer(t *testing.T) {
 	g := RandomBipartite(3, 30, 30, 0.15)
 	mt := NewMaintainer(g, MaintainerOptions{K: 3, Seed: 2})
@@ -202,34 +202,6 @@ func TestFacadeMaintainer(t *testing.T) {
 	a := mt.Audit()
 	if !a.Audited || !a.CertificateOK {
 		t.Fatalf("audit after mass delete: %+v", a)
-	}
-}
-
-func TestFacadeBackendOption(t *testing.T) {
-	g := WithUniformWeights(10, RandomGraph(9, 60, 0.1), 1, 20)
-	coro := MaximalMatching(g, 11, WithBackend(BackendCoroutine))
-	flat := MaximalMatching(g, 11, WithBackend(BackendFlat))
-	auto := MaximalMatching(g, 11)
-	for _, r := range []Result{flat, auto} {
-		if r.Matching.Size() != coro.Matching.Size() || r.Stats.Rounds != coro.Stats.Rounds ||
-			r.Stats.Messages != coro.Stats.Messages || r.Stats.Bits != coro.Stats.Bits {
-			t.Fatalf("backends diverge: coro %v vs %v", coro.Stats, r.Stats)
-		}
-	}
-	qc := MWMQuarter(g, 0.1, 11, WithBackend(BackendCoroutine))
-	qf := MWMQuarter(g, 0.1, 11, WithBackend(BackendFlat))
-	if qc.Matching.Weight(g) != qf.Matching.Weight(g) || qc.Stats.Rounds != qf.Stats.Rounds {
-		t.Fatalf("MWMQuarter backends diverge: %v vs %v", qc.Stats, qf.Stats)
-	}
-	mc, mcst := MIS(g, 11, WithBackend(BackendCoroutine))
-	mf, mfst := MIS(g, 11, WithBackend(BackendFlat))
-	for v := range mc {
-		if mc[v] != mf[v] {
-			t.Fatalf("MIS backends diverge at node %d", v)
-		}
-	}
-	if mcst.Rounds != mfst.Rounds || mcst.OracleCalls != mfst.OracleCalls {
-		t.Fatalf("MIS backend stats diverge: %v vs %v", mcst, mfst)
 	}
 }
 

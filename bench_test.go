@@ -201,9 +201,8 @@ func BenchmarkAlgWeighted(b *testing.B) {
 	}
 }
 
-// benchProtocol times one protocol at a fixed backend and reports
-// node-rounds/s so the flat-vs-coroutine speedup is directly comparable
-// (scripts/bench_compare.sh records the pairs into BENCH_pr2.json).
+// benchProtocol times one protocol and reports node-rounds/s
+// (scripts/bench_compare.sh records them into a BENCH file).
 func benchProtocol(b *testing.B, n int, run func(seed uint64) *dist.Stats) {
 	b.Helper()
 	b.ResetTimer()
@@ -216,42 +215,22 @@ func benchProtocol(b *testing.B, n int, run func(seed uint64) *dist.Stats) {
 
 func israeliItaiWorkload() *Graph { return gen.Gnm(rng.New(5), 4096, 16384) }
 
-// BenchmarkAlgIsraeliItai measures the baseline maximal matching (n=4096)
-// on the default backend (flat).
+// BenchmarkAlgIsraeliItai measures the baseline maximal matching (n=4096).
 func BenchmarkAlgIsraeliItai(b *testing.B) {
 	g := israeliItaiWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := israeliitai.RunWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendFlat}, true)
-		return st
-	})
-}
-
-// BenchmarkAlgIsraeliItaiCoro is the same workload on the coroutine
-// backend — the flat-speedup denominator.
-func BenchmarkAlgIsraeliItaiCoro(b *testing.B) {
-	g := israeliItaiWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := israeliitai.RunWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, true)
+		_, st := israeliitai.RunWithConfig(g, dist.Config{Seed: seed}, true)
 		return st
 	})
 }
 
 func misWorkload() *Graph { return gen.Gnm(rng.New(13), 4096, 16384) }
 
-// BenchmarkAlgMIS measures Luby's MIS (n=4096) on the flat backend.
+// BenchmarkAlgMIS measures Luby's MIS (n=4096).
 func BenchmarkAlgMIS(b *testing.B) {
 	g := misWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := mis.RunWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendFlat}, true)
-		return st
-	})
-}
-
-// BenchmarkAlgMISCoro is the same MIS workload on coroutines.
-func BenchmarkAlgMISCoro(b *testing.B) {
-	g := misWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := mis.RunWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, true)
+		_, st := mis.RunWithConfig(g, dist.Config{Seed: seed}, true)
 		return st
 	})
 }
@@ -260,165 +239,92 @@ func lprWorkload() *Graph {
 	return gen.UniformWeights(rng.New(6), gen.Gnm(rng.New(7), 1024, 4096), 1, 100)
 }
 
-// BenchmarkAlgLPRQuarter measures the weight-class black box (n=1024) on
-// the flat backend.
+// BenchmarkAlgLPRQuarter measures the weight-class black box (n=1024).
 func BenchmarkAlgLPRQuarter(b *testing.B) {
 	g := lprWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := lpr.RunWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendFlat}, 0.05, true)
+		_, st := lpr.RunWithConfig(g, dist.Config{Seed: seed}, 0.05, true)
 		return st
 	})
 }
 
-// BenchmarkAlgLPRQuarterCoro is the same weight-class workload on
-// coroutines.
-func BenchmarkAlgLPRQuarterCoro(b *testing.B) {
-	g := lprWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := lpr.RunWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, 0.05, true)
-		return st
-	})
-}
+// ---- Core pipeline: the paper's headline algorithms, node-rounds/s ----
 
-// ---- Core pipeline pairs (PR-3): the paper's headline algorithms on
-// both backends, node-rounds/s for the speedup table in BENCH_pr3.json ----
+func bipartiteMCMWorkload() *Graph { return bipartiteWorkload(1, 512) }
 
-func bipartitePairWorkload() *Graph { return bipartiteWorkload(1, 512) }
-
-// BenchmarkAlgBipartiteMCM measures Algorithm 3 (k=3, n=1024, oracle) on
-// the flat backend.
+// BenchmarkAlgBipartiteMCM measures Algorithm 3 (k=3, n=1024, oracle).
 func BenchmarkAlgBipartiteMCM(b *testing.B) {
-	g := bipartitePairWorkload()
+	g := bipartiteMCMWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.BipartiteMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: dist.BackendFlat}, true)
+		_, st := core.BipartiteMCMWithConfig(g, 3, dist.Config{Seed: seed}, true)
 		return st
 	})
 }
 
-// BenchmarkAlgBipartiteMCMCoro is the same workload on coroutines.
-func BenchmarkAlgBipartiteMCMCoro(b *testing.B) {
-	g := bipartitePairWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.BipartiteMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, true)
-		return st
-	})
-}
+func generalMCMWorkload() *Graph { return gen.Gnp(rng.New(2), 256, 3.0/256) }
 
-func generalPairWorkload() *Graph { return gen.Gnp(rng.New(2), 256, 3.0/256) }
+var generalMCMOpts = core.GeneralOptions{Oracle: true, IdleStop: 30}
 
-var generalPairOpts = core.GeneralOptions{Oracle: true, IdleStop: 30}
-
-// BenchmarkAlgGeneralMCM measures Algorithm 4 (k=3, n=256) on the flat
-// backend.
+// BenchmarkAlgGeneralMCM measures Algorithm 4 (k=3, n=256).
 func BenchmarkAlgGeneralMCM(b *testing.B) {
-	g := generalPairWorkload()
+	g := generalMCMWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.GeneralMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: dist.BackendFlat}, generalPairOpts)
+		_, st := core.GeneralMCMWithConfig(g, 3, dist.Config{Seed: seed}, generalMCMOpts)
 		return st
 	})
 }
 
-// BenchmarkAlgGeneralMCMCoro is the same workload on coroutines.
-func BenchmarkAlgGeneralMCMCoro(b *testing.B) {
-	g := generalPairWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.GeneralMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, generalPairOpts)
-		return st
-	})
-}
-
-func weightedPairWorkload() *Graph {
+func weightedMWMWorkload() *Graph {
 	return gen.UniformWeights(rng.New(3), gen.Gnm(rng.New(4), 256, 1024), 1, 100)
 }
 
-// BenchmarkAlgWeightedMWM measures Algorithm 5 (ε=0.25, n=256) on the
-// flat backend.
+// BenchmarkAlgWeightedMWM measures Algorithm 5 (ε=0.25, n=256).
 func BenchmarkAlgWeightedMWM(b *testing.B) {
-	g := weightedPairWorkload()
+	g := weightedMWMWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.WeightedMWMWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendFlat}, 0.25, true, nil)
+		_, st := core.WeightedMWMWithConfig(g, dist.Config{Seed: seed}, 0.25, true, nil)
 		return st
 	})
 }
 
-// BenchmarkAlgWeightedMWMCoro is the same workload on coroutines.
-func BenchmarkAlgWeightedMWMCoro(b *testing.B) {
-	g := weightedPairWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.WeightedMWMWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, 0.25, true, nil)
-		return st
-	})
-}
-
-func greedyPairWorkload() *Graph { return gen.AdversarialChain(512) }
+func greedyWorkload() *Graph { return gen.AdversarialChain(512) }
 
 // BenchmarkAlgLocalGreedy measures the locally-heaviest-edge protocol on
-// its Θ(n)-round pathology (the E7 chain, n=512) on the flat backend —
-// the workload where node-rounds/s matters most.
+// its Θ(n)-round pathology (the E7 chain, n=512) — the workload where
+// node-rounds/s matters most.
 func BenchmarkAlgLocalGreedy(b *testing.B) {
-	g := greedyPairWorkload()
+	g := greedyWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := lpr.LocalGreedyWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendFlat}, 0, true)
+		_, st := lpr.LocalGreedyWithConfig(g, dist.Config{Seed: seed}, 0, true)
 		return st
 	})
 }
 
-// BenchmarkAlgLocalGreedyCoro is the same pathology on coroutines.
-func BenchmarkAlgLocalGreedyCoro(b *testing.B) {
-	g := greedyPairWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := lpr.LocalGreedyWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, 0, true)
-		return st
-	})
-}
+// ---- The strict-CONGEST and LOCAL executions ----
 
-// ---- PR-7 ports: the strict-CONGEST and LOCAL pairs. These were the
-// last coroutine-only algorithms; their flat ports make the speedup
-// table total. ----
-
-func strictPairWorkload() *Graph { return bipartiteWorkload(7, 128) }
+func strictWorkload() *Graph { return bipartiteWorkload(7, 128) }
 
 // BenchmarkAlgBipartiteStrict measures the Lemma 3.7 chunk-pipelined
-// execution (k=2, B=8 bits, n=256, oracle) on the flat backend. The
-// workload is sub-round dense: every value crosses its hop in ⌈bits/B⌉
-// chunk rounds, so the backend's per-node-round overhead dominates even
-// at modest n.
+// execution (k=2, B=8 bits, n=256, oracle). The workload is sub-round
+// dense: every value crosses its hop in ⌈bits/B⌉ chunk rounds, so the
+// engine's per-node-round overhead dominates even at modest n.
 func BenchmarkAlgBipartiteStrict(b *testing.B) {
-	g := strictPairWorkload()
+	g := strictWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.BipartiteMCMStrictWithConfig(g, 2, dist.Config{Seed: seed, Backend: dist.BackendFlat}, 8, true)
+		_, st := core.BipartiteMCMStrictWithConfig(g, 2, dist.Config{Seed: seed}, 8, true)
 		return st
 	})
 }
 
-// BenchmarkAlgBipartiteStrictCoro is the same workload on coroutines.
-func BenchmarkAlgBipartiteStrictCoro(b *testing.B) {
-	g := strictPairWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.BipartiteMCMStrictWithConfig(g, 2, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, 8, true)
-		return st
-	})
-}
-
-func genericPairWorkload() *Graph { return gen.Gnp(rng.New(11), 192, 4.0/192) }
+func genericWorkload() *Graph { return gen.Gnp(rng.New(11), 192, 4.0/192) }
 
 // BenchmarkAlgGenericMCM measures the LOCAL-model Algorithm 1 (ε=1/2,
-// n=192, oracle) on the flat backend: wide topology floods with
-// unbounded messages, the opposite messaging regime from the strict
-// pair.
+// n=192, oracle): wide topology floods with unbounded messages, the
+// opposite messaging regime from the strict workload.
 func BenchmarkAlgGenericMCM(b *testing.B) {
-	g := genericPairWorkload()
+	g := genericWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.GenericMCMWithConfig(g, 0.5, dist.Config{Seed: seed, Backend: dist.BackendFlat}, true)
-		return st
-	})
-}
-
-// BenchmarkAlgGenericMCMCoro is the same workload on coroutines.
-func BenchmarkAlgGenericMCMCoro(b *testing.B) {
-	g := genericPairWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.GenericMCMWithConfig(g, 0.5, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, true)
+		_, st := core.GenericMCMWithConfig(g, 0.5, dist.Config{Seed: seed}, true)
 		return st
 	})
 }
@@ -484,9 +390,9 @@ func BenchmarkRunnerShortReuse(b *testing.B) {
 
 // ---- Substrate micro-benchmarks ----
 
-// BenchmarkEngineRound measures raw simulator round throughput on the
-// coroutine backend: 4096 nodes exchanging one signal per edge per round
-// on a 4-regular graph.
+// BenchmarkEngineRound measures raw simulator round throughput through
+// dist.Run (blocking programs on coroutines): 4096 nodes exchanging one
+// signal per edge per round on a 4-regular graph.
 func BenchmarkEngineRound(b *testing.B) {
 	g := gen.DRegular(rng.New(8), 4096, 4)
 	rounds := 64
@@ -522,9 +428,8 @@ func (p *flatBeacon) OnRound(nd *dist.Node, in []dist.Incoming) bool {
 	return true
 }
 
-// BenchmarkEngineRoundFlat is BenchmarkEngineRound on the flat backend —
-// the tentpole number: the gap between the two is the coroutine switch
-// tax (see DESIGN.md §1).
+// BenchmarkEngineRoundFlat is BenchmarkEngineRound through dist.RunFlat:
+// the gap between the two is the coroutine switch tax (see DESIGN.md §1).
 func BenchmarkEngineRoundFlat(b *testing.B) {
 	g := gen.DRegular(rng.New(8), 4096, 4)
 	rounds := 64
@@ -582,8 +487,8 @@ func BenchmarkEngineRoundActive(b *testing.B) {
 // worker-scaling sweep reuses.
 func engineRoundWorkload() *Graph { return gen.DRegular(rng.New(8), 4096, 4) }
 
-// BenchmarkEngineRoundWorkers sweeps Config.Workers on the coroutine
-// backend — the multi-core scaling study's denominator. On hardware with
+// BenchmarkEngineRoundWorkers sweeps Config.Workers through dist.Run —
+// the multi-core scaling study's denominator. On hardware with
 // fewer cores than workers the extra workers measure pure
 // barrier/dispatch overhead, which is exactly the knee being located
 // (see DESIGN.md §1).
@@ -605,7 +510,7 @@ func BenchmarkEngineRoundWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRoundFlatWorkers is the same sweep on the flat backend.
+// BenchmarkEngineRoundFlatWorkers is the same sweep through dist.RunFlat.
 func BenchmarkEngineRoundFlatWorkers(b *testing.B) {
 	g := engineRoundWorkload()
 	rounds := 64
@@ -621,8 +526,8 @@ func BenchmarkEngineRoundFlatWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRoundFlatTopo is the workers × topology scaling grid on
-// the flat backend: the 64-round beacon on message patterns that stress
+// BenchmarkEngineRoundFlatTopo is the workers × topology scaling grid
+// through dist.RunFlat: the 64-round beacon on message patterns that stress
 // the mailbox modes differently — uniform short rows (4-regular), dense
 // rows (G(n,m) at mean degree 16), irregular rows (G(n,p)), and the hub pathology
 // (star: one node owns half of every round's traffic, the worst case for

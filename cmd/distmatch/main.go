@@ -40,7 +40,6 @@ func main() {
 	budget := flag.Bool("budget", false, "use the paper's fixed w.h.p. budgets instead of the convergence oracle")
 	showOpt := flag.Bool("opt", true, "also compute the exact optimum (centralized) for the ratio")
 	profile := flag.Bool("profile", false, "print a per-round traffic profile")
-	backend := flag.String("backend", "auto", "execution backend: auto | coro | flat (every algorithm has a flat state-machine port; backends are bit-identical)")
 	workers := flag.Int("workers", 0, "engine worker goroutines (0 = one per core); >1 runs the staged multicore mailbox mode")
 	repeat := flag.Int("repeat", 1, "run the algorithm this many times (amortizes startup when profiling)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -49,7 +48,7 @@ func main() {
 	dyn := flag.Bool("dynamic", false, "serve a stream of edge updates with the incremental Maintainer (bipartite slab; -slots/-churn shape the stream) and compare against per-batch full recompute")
 	slots := flag.Int("slots", 500, "dynamic mode: number of update batches")
 	churn := flag.Int("churn", 4, "dynamic mode: edge insert/delete flips per batch")
-	chaosMode := flag.Bool("chaos", false, "run seeded chaos schedules against the incremental Maintainer: random fault plans (crashes, drops, panics) and node crashes under churn, verifying every slot serves a valid matching and the Maintainer heals to a certified (1-1/k) matching; -schedules/-n/-k/-seed/-backend apply")
+	chaosMode := flag.Bool("chaos", false, "run seeded chaos schedules against the incremental Maintainer: random fault plans (crashes, drops, panics) and node crashes under churn, verifying every slot serves a valid matching and the Maintainer heals to a certified (1-1/k) matching; -schedules/-n/-k/-seed apply")
 	schedules := flag.Int("schedules", 50, "chaos mode: number of seeded schedules")
 	chaosShards := flag.Int("chaosshards", 0, "chaos mode: >0 runs shard-level schedules instead (kill plans and per-shard fault plans against a Pool of this many shards)")
 	flag.Parse()
@@ -62,12 +61,12 @@ func main() {
 		if !nSet {
 			*n = 8 // chaos drives many schedules; default to a small slab
 		}
-		runChaos(*schedules, *n, *k, *chaosShards, *seed, parseBackend(*backend))
+		runChaos(*schedules, *n, *k, *chaosShards, *seed)
 		stopProfiles()
 		return
 	}
 	if *dyn {
-		runDynamic(*n, *deg, *k, *seed, *slots, *churn, parseBackend(*backend))
+		runDynamic(*n, *deg, *k, *seed, *slots, *churn)
 		stopProfiles()
 		return
 	}
@@ -76,7 +75,7 @@ func main() {
 	fmt.Printf("graph: %v\n", g)
 
 	oracle := !*budget
-	cfg := dist.Config{Seed: *seed, Profile: *profile, Workers: *workers, Backend: parseBackend(*backend)}
+	cfg := dist.Config{Seed: *seed, Profile: *profile, Workers: *workers}
 	var m *graph.Matching
 	var stats *dist.Stats
 	for i := 0; i < *repeat; i++ { // -repeat re-runs identically (profiling)
@@ -140,13 +139,13 @@ func main() {
 // seeded kill/restart plans and per-shard fault plans against a Pool.
 // The exit code is trustworthy in scripts: any failed schedule — and
 // any vacuous sweep that injected nothing — exits non-zero.
-func runChaos(schedules, n, k, shards int, seed uint64, be dist.Backend) {
+func runChaos(schedules, n, k, shards int, seed uint64) {
 	if schedules < 1 {
 		fmt.Fprintf(os.Stderr, "chaos: -schedules must be at least 1 (got %d)\n", schedules)
 		os.Exit(2)
 	}
 	if shards > 0 {
-		runShardChaos(schedules, n, k, shards, seed, be)
+		runShardChaos(schedules, n, k, shards, seed)
 		return
 	}
 	fmt.Printf("chaos: %d schedules, %dx%d slab, k=%d, base seed %d\n", schedules, n, n, k, seed)
@@ -154,7 +153,7 @@ func runChaos(schedules, n, k, shards int, seed uint64, be dist.Backend) {
 	failed := 0
 	for i := 0; i < schedules; i++ {
 		s := seed + uint64(i)
-		res, err := chaos.Run(chaos.Config{Seed: s, NX: n, NY: n, K: k, Backend: be})
+		res, err := chaos.Run(chaos.Config{Seed: s, NX: n, NY: n, K: k})
 		if err != nil {
 			failed++
 			fmt.Fprintf(os.Stderr, "FAIL seed %d: %v\n", s, err)
@@ -185,14 +184,14 @@ func runChaos(schedules, n, k, shards int, seed uint64, be dist.Backend) {
 
 // runShardChaos sweeps shard-level schedules (chaos.RunShards) and
 // applies the same no-vacuous-pass discipline.
-func runShardChaos(schedules, n, k, shards int, seed uint64, be dist.Backend) {
+func runShardChaos(schedules, n, k, shards int, seed uint64) {
 	fmt.Printf("chaos: %d shard schedules, %dx%d slab, %d shards, k=%d, base seed %d\n",
 		schedules, n, n, shards, k, seed)
 	var kills, restarts, armed, degraded, down, cleanSlots int
 	failed := 0
 	for i := 0; i < schedules; i++ {
 		s := seed + uint64(i)
-		res, err := chaos.RunShards(chaos.ShardConfig{Seed: s, NX: n, NY: n, K: k, Shards: shards, Backend: be})
+		res, err := chaos.RunShards(chaos.ShardConfig{Seed: s, NX: n, NY: n, K: k, Shards: shards})
 		if err != nil {
 			failed++
 			fmt.Fprintf(os.Stderr, "FAIL seed %d: %v\n", s, err)
@@ -225,14 +224,14 @@ func runShardChaos(schedules, n, k, shards int, seed uint64, be dist.Backend) {
 // runDynamic is the -dynamic mode: one churn stream over a bipartite
 // slab, served twice through identical plumbing — incrementally and with
 // a cold full recompute per batch — then compared.
-func runDynamic(n int, deg float64, k int, seed uint64, slots, churn int, be dist.Backend) {
+func runDynamic(n int, deg float64, k int, seed uint64, slots, churn int) {
 	r := rng.New(seed ^ 0x9e3779b97f4a7c15)
 	slab := gen.BipartiteGnp(r, n, n, minf(1, deg/float64(n)))
 	fmt.Printf("slab: %v  (edges start dead; %d flips/batch, %d batches)\n", slab, churn, slots)
 
 	serve := func(recompute bool) *dynamic.Maintainer {
 		mt := dynamic.New(slab, dynamic.Options{
-			K: k, Seed: seed, StartEmpty: true, AlwaysRecompute: recompute, Backend: be,
+			K: k, Seed: seed, StartEmpty: true, AlwaysRecompute: recompute,
 		})
 		sr := rng.New(seed + 2)
 		for s := 0; s < slots; s++ {
@@ -328,20 +327,6 @@ func buildGraph(algo, kind string, n int, deg float64, weights string, seed uint
 		os.Exit(2)
 	}
 	return g
-}
-
-func parseBackend(s string) dist.Backend {
-	switch s {
-	case "auto":
-		return dist.BackendAuto
-	case "coro", "coroutine":
-		return dist.BackendCoroutine
-	case "flat":
-		return dist.BackendFlat
-	}
-	fmt.Fprintf(os.Stderr, "unknown backend %q (want auto | coro | flat)\n", s)
-	os.Exit(2)
-	return dist.BackendAuto
 }
 
 func minf(a, b float64) float64 {

@@ -14,7 +14,9 @@
 //	                             optional "client"/"seq" make the apply
 //	                             exactly-once: retrying the same (client, seq)
 //	                             after a 503 timeout returns the cached report
-//	                             with "duplicate":true instead of re-applying
+//	                             with "duplicate":true instead of re-applying;
+//	                             a body over 4 MiB or a batch over 65536
+//	                             updates is refused with 413
 //	GET  /v1/matching            composed matching + degraded/stale/certified flags
 //	GET  /v1/health              200 fresh / 503 degraded, per-shard detail
 //	GET  /v1/stats               lifetime pool counters
@@ -89,24 +91,10 @@ func main() {
 	backoff := flag.Int("backoff", 1, "base auto-restart backoff of a killed shard, in applies")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout")
 	workers := flag.Int("workers", 0, "engine worker goroutines (0 = one per core)")
-	backend := flag.String("backend", "auto", "engine backend: auto | coro | flat")
 	debugaddr := flag.String("debugaddr", "", "separate listener for pprof + /metrics (empty = off)")
 	accesslog := flag.Bool("accesslog", true, "log every request to stderr")
 	events := flag.Int("events", 4096, "event-ring capacity (structured trace records held)")
 	flag.Parse()
-
-	var be dist.Backend
-	switch *backend {
-	case "auto":
-		be = dist.BackendAuto
-	case "coro":
-		be = dist.BackendCoroutine
-	case "flat":
-		be = dist.BackendFlat
-	default:
-		fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backend)
-		os.Exit(2)
-	}
 
 	reg := telemetry.New(telemetry.Options{EventCapacity: *events})
 	dist.SetTelemetry(reg)
@@ -116,8 +104,8 @@ func main() {
 		Shards: *shards, K: *k, Seed: *seed,
 		StartEmpty: !*full, AuditEvery: *auditEvery,
 		RestartBackoff: *backoff,
-		Workers:        *workers, Backend: be,
-		Telemetry: reg,
+		Workers:        *workers,
+		Telemetry:      reg,
 	})
 	defer pool.Close()
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -173,12 +174,30 @@ func toReportJSON(rep shard.Report) reportJSON {
 	}
 }
 
+// Apply request bounds: a body over maxApplyBytes or a batch over
+// maxApplyUpdates is refused with 413 before it reaches the pool. Both
+// sit two orders of magnitude above the 512-update batches of the bulk
+// serving benchmark (perfbench), so they stop only abusive requests.
+const (
+	maxApplyBytes   = 4 << 20
+	maxApplyUpdates = 1 << 16
+)
+
 func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 	var req applyRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxApplyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "apply body exceeds %d bytes", maxApplyBytes)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad apply body: %v", err)
+		return
+	}
+	if len(req.Updates) > maxApplyUpdates {
+		httpError(w, http.StatusRequestEntityTooLarge, "apply batch of %d updates exceeds %d", len(req.Updates), maxApplyUpdates)
 		return
 	}
 	m := s.pool.Graph().M()

@@ -267,3 +267,41 @@ func TestServerRejectsBadInput(t *testing.T) {
 		t.Fatalf("rejected applies advanced the pool: %v", q)
 	}
 }
+
+// TestServerBoundsApply pins the apply request caps: an oversized body
+// and an over-long batch are each refused with 413 without advancing the
+// pool, while a bulk-sized 512-update batch still applies.
+func TestServerBoundsApply(t *testing.T) {
+	pool, ts := testServer(t)
+	m := pool.Graph().M()
+	batch := func(n int) string {
+		var b strings.Builder
+		b.WriteString(`{"updates":[`)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `{"edge":%d,"op":"insert"}`, i%m)
+		}
+		b.WriteString(`]}`)
+		return b.String()
+	}
+	for name, body := range map[string]string{
+		// Whitespace inside the value: the body is oversized, the batch empty.
+		"body":  `{"updates":` + strings.Repeat(" ", maxApplyBytes) + `[]}`,
+		"batch": batch(maxApplyUpdates + 1),
+	} {
+		out := doJSON(t, "POST", ts.URL+"/v1/apply", body, http.StatusRequestEntityTooLarge)
+		if out["error"] == "" {
+			t.Fatalf("%s: no error message", name)
+		}
+		q := doJSON(t, "GET", ts.URL+"/v1/matching", "", http.StatusOK)
+		if q["step"].(float64) != 0 {
+			t.Fatalf("%s: refused apply advanced the pool: %v", name, q)
+		}
+	}
+	doJSON(t, "POST", ts.URL+"/v1/apply", batch(512), http.StatusOK)
+	if q := doJSON(t, "GET", ts.URL+"/v1/matching", "", http.StatusOK); q["step"].(float64) != 1 {
+		t.Fatalf("512-update batch did not advance the pool: %v", q)
+	}
+}

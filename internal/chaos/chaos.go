@@ -7,7 +7,7 @@
 // back to Healthy with a certified (1−1/K)-approximate matching against
 // the centralized exact optimum — within a bounded number of clean
 // slots. Schedules are pure functions of their seed, so a failure
-// replays bit-identically, on either engine backend.
+// replays bit-identically, at any engine worker count.
 package chaos
 
 import (
@@ -43,9 +43,8 @@ type Config struct {
 	// to return to Healthy with a certified matching after the schedule
 	// ends (default 25). Exceeding it fails the run.
 	MaxCleanSlots int
-	// Workers and Backend configure the engine.
+	// Workers configures the engine.
 	Workers int
-	Backend dist.Backend
 }
 
 func (c Config) withDefaults() Config {
@@ -76,8 +75,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Result is what one schedule did — comparable across backends with
-// reflect.DeepEqual, which is exactly how the determinism test uses it.
+// Result is what one schedule did — comparable across replays and worker
+// counts with reflect.DeepEqual, which is exactly how the determinism test uses it.
 type Result struct {
 	Steps      int // serving slots driven (excl. convergence slots)
 	Faults     int // engine runs lost to injected faults
@@ -91,7 +90,7 @@ type Result struct {
 	Totals     dynamic.Totals
 	// History is one compact record per slot — health, faults so far and
 	// the served matching — the thing that must be bit-identical across
-	// backends.
+	// replays and worker counts.
 	History []string
 }
 
@@ -109,7 +108,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	mt := dynamic.New(g, dynamic.Options{
 		K: cfg.K, Seed: cfg.Seed + 1, StartEmpty: true, AuditEvery: 4,
-		Workers: cfg.Workers, Backend: cfg.Backend,
+		Workers: cfg.Workers,
 	})
 	defer mt.Close()
 

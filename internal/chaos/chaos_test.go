@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
-
-	"distmatch/internal/dist"
 )
 
 const chaosSchedules = 100
@@ -62,26 +60,6 @@ func TestChaosSchedules(t *testing.T) {
 	}
 	t.Logf("chaos table: %d schedules, %d faults, %d degraded slots, %d recovering slots, %d crashes",
 		len(seeds), faults, degraded, recovering, crashed)
-}
-
-// TestChaosBackendsBitIdentical replays schedules on both engine
-// backends: the full Result — slot-by-slot history included — must be
-// bit-identical, faults and all.
-func TestChaosBackendsBitIdentical(t *testing.T) {
-	seeds, _ := chaosSeeds(t, 25)
-	for _, seed := range seeds {
-		rc, errC := Run(Config{Seed: seed, Backend: dist.BackendCoroutine})
-		rf, errF := Run(Config{Seed: seed, Backend: dist.BackendFlat})
-		if (errC == nil) != (errF == nil) {
-			t.Fatalf("seed %d: errors diverge: coroutine %v vs flat %v", seed, errC, errF)
-		}
-		if errC != nil {
-			t.Fatalf("seed %d: %v", seed, errC)
-		}
-		if !reflect.DeepEqual(rc, rf) {
-			t.Fatalf("seed %d: results diverge across backends\ncoroutine %+v\nflat      %+v", seed, rc, rf)
-		}
-	}
 }
 
 // TestChaosSeedReplaysIdentically pins that a schedule is a pure

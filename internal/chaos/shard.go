@@ -41,9 +41,8 @@ type ShardConfig struct {
 	// after the schedule ends (default 40 — a late kill can owe a full
 	// capped backoff before its rebuild even starts).
 	MaxCleanSlots int
-	// Workers and Backend configure every underlying engine.
+	// Workers configures every underlying engine.
 	Workers int
-	Backend dist.Backend
 	// Serial runs the pool's single-threaded write path (inline shard
 	// commits, full recompose rescans) instead of the per-shard commit
 	// pipelines. Schedules must replay bit-identically either way — the
@@ -87,7 +86,8 @@ func (c ShardConfig) withDefaults() ShardConfig {
 }
 
 // ShardResult is what one shard-level schedule did — comparable across
-// backends and worker counts with reflect.DeepEqual.
+// replays, worker counts and Serial vs pipelined mode with
+// reflect.DeepEqual.
 type ShardResult struct {
 	Steps         int // serving slots driven (excl. convergence slots)
 	Armed         int // fault-plan arms delivered to up shards
@@ -101,14 +101,14 @@ type ShardResult struct {
 	Totals        shard.Stats
 	// History is one compact record per slot — flags, shard states and
 	// the composed matching — the thing that must be bit-identical
-	// across replays, backends and worker counts.
+	// across replays, worker counts and write-path modes.
 	History []string
 	// Events is the pool's structured telemetry trace (rendered records,
 	// append order). The trace carries the Apply slot clock, never wall
 	// time, so it is part of the DeepEqual-compared result: replays,
-	// backends and worker counts must produce it bit-identically — the
-	// telemetry layer's own determinism contract, verified by the same
-	// harness that verifies the matchings.
+	// worker counts and write-path modes must produce it bit-identically
+	// — the telemetry layer's own determinism contract, verified by the
+	// same harness that verifies the matchings.
 	Events []string
 }
 
@@ -136,7 +136,7 @@ func RunShards(cfg ShardConfig) (*ShardResult, error) {
 	p := shard.New(g, shard.Options{
 		Shards: cfg.Shards, K: cfg.K, Seed: cfg.Seed + 1,
 		StartEmpty: true, AuditEvery: 4,
-		Workers: cfg.Workers, Backend: cfg.Backend, Serial: cfg.Serial,
+		Workers: cfg.Workers, Serial: cfg.Serial,
 		Telemetry: reg,
 	})
 	defer p.Close()

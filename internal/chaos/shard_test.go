@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"distmatch/internal/dist"
 )
 
 const shardChaosSchedules = 40
@@ -121,28 +119,23 @@ func TestShardChaosSerialBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardChaosBackendsBitIdentical replays shard schedules on both
-// engine backends and on extra workers: the full ShardResult —
-// slot-by-slot history included — must be bit-identical.
-func TestShardChaosBackendsBitIdentical(t *testing.T) {
+// TestShardChaosWorkersBitIdentical replays shard schedules on the
+// default worker count and on 4 workers: the worker count is an
+// execution detail, so the full ShardResult — slot-by-slot history
+// included — must be bit-identical.
+func TestShardChaosWorkersBitIdentical(t *testing.T) {
 	seeds, _ := chaosSeeds(t, 8)
 	for _, seed := range seeds {
-		base, err := RunShards(ShardConfig{Seed: seed, Backend: dist.BackendCoroutine})
+		base, err := RunShards(ShardConfig{Seed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for name, cfg := range map[string]ShardConfig{
-			"flat":    {Seed: seed, Backend: dist.BackendFlat},
-			"workers": {Seed: seed, Backend: dist.BackendCoroutine, Workers: 4},
-		} {
-			got, err := RunShards(cfg)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, name, err)
-			}
-			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("seed %d: %s diverges from coroutine baseline\nbase %+v\ngot  %+v",
-					seed, name, base, got)
-			}
+		got, err := RunShards(ShardConfig{Seed: seed, Workers: 4})
+		if err != nil {
+			t.Fatalf("seed %d workers=4: %v", seed, err)
+		}
+		if !reflect.DeepEqual(base, got) {
+			t.Fatalf("seed %d: workers=4 diverges from the default\nbase %+v\ngot  %+v", seed, base, got)
 		}
 	}
 }

@@ -111,7 +111,7 @@ func emptySubgraphReport(g *graph.Graph, matchedEdge []int32, probeLen int) Repo
 	return rep
 }
 
-// program is the blocking (coroutine-backend) reference form of the
+// program is the blocking (coroutine) reference form of the
 // protocol; every entry point runs its flat transliteration (flat.go),
 // and TestFlatMatchesBlocking pins the two bit-equal. The engine's
 // activation mask (if any) shapes what either form sees: a SendAll

@@ -1,6 +1,6 @@
 package check
 
-// Backend equivalence for the verification protocol: the flat form every
+// Flat-vs-reference equivalence for the verification protocol: the flat form every
 // entry point runs (flat.go) must be bit-identical — report, rounds,
 // messages, bits, peak width, oracle calls, per-round profile — to the
 // blocking reference form (program in check.go), on valid, broken and
@@ -93,7 +93,7 @@ func TestFlatMatchesBlocking(t *testing.T) {
 
 // TestFlatMatchesBlockingOnRunner pins the equivalence on the
 // mutable-topology path the Maintainer audits through: a Runner with a
-// live-edge mask, both backends, including a dead matched edge (which
+// live-edge mask, both forms, including a dead matched edge (which
 // must be reported invalid).
 func TestFlatMatchesBlockingOnRunner(t *testing.T) {
 	g := gen.BipartiteGnp(rng.New(9), 10, 10, 0.3)

@@ -5,10 +5,10 @@ package core
 // pool, dispatch goroutines) across runs — the same shape as
 // israeliitai.RunSeeds, extended to the Algorithm 3/4 pipelines so the
 // experiment seed sweeps (E2/E4) and any other fixed-graph battery reuse
-// one engine. On the flat backend BipartiteMCMSeeds also recycles the
-// per-node machine slab (phasesMachine has a cheap reset); GeneralMCMSeeds
-// reuses the engine but builds fresh machines per run — Algorithm 4's
-// per-node buffers are allocated in Init either way.
+// one engine. BipartiteMCMSeeds also recycles the per-node machine slab
+// (phasesMachine has a cheap reset); GeneralMCMSeeds reuses the engine but
+// builds fresh machines per run — Algorithm 4's per-node buffers are
+// allocated in Init either way.
 
 import (
 	"distmatch/internal/dist"
@@ -20,12 +20,7 @@ import (
 // BipartiteMCMWithConfig with the same cfg and seed
 // (TestBipartiteMCMSeedsMatchesFresh). cfg.Seed is ignored.
 func BipartiteMCMSeeds(g *graph.Graph, k int, cfg dist.Config, seeds []uint64, oracle bool) ([]*graph.Matching, []*dist.Stats) {
-	if k < 1 {
-		panic("core: BipartiteMCM requires k >= 1")
-	}
-	if !g.IsBipartite() {
-		panic("core: BipartiteMCM requires a bipartite graph")
-	}
+	checkBipartiteMCM(g, k)
 	matchings := make([]*graph.Matching, len(seeds))
 	stats := make([]*dist.Stats, len(seeds))
 	matchedEdge := make([]int32, g.N())
@@ -33,23 +28,10 @@ func BipartiteMCMSeeds(g *graph.Graph, k int, cfg dist.Config, seeds []uint64, o
 	r := dist.NewRunner(g, cfg)
 	defer r.Close()
 
-	if !cfg.Backend.UseFlat() {
-		program := func(nd *dist.Node) {
-			st := &MatchState{MatchedPort: -1}
-			runPhases(nd, st, nd.Side(), true, allPorts, k, oracle)
-			writeBack(nd, st, matchedEdge)
-		}
-		for i, seed := range seeds {
-			stats[i] = r.Run(seed, program)
-			matchings[i] = graph.CollectMatching(g, matchedEdge)
-		}
-		return matchings, stats
-	}
-
-	// Flat: a full-graph solve from the empty matching is exactly a
-	// full-region repair from scratch, so the BipartiteRepairer provides
-	// the recycled per-node machine slab.
-	br := NewBipartiteRepairer(r, matchedEdge, RepairOptions{K: k, Oracle: oracle, Backend: cfg.Backend})
+	// A full-graph solve from the empty matching is exactly a full-region
+	// repair from scratch, so the BipartiteRepairer provides the recycled
+	// per-node machine slab.
+	br := NewBipartiteRepairer(r, matchedEdge, RepairOptions{K: k, Oracle: oracle})
 	for i, seed := range seeds {
 		for v := range matchedEdge {
 			matchedEdge[v] = -1
@@ -63,16 +45,9 @@ func BipartiteMCMSeeds(g *graph.Graph, k int, cfg dist.Config, seeds []uint64, o
 // GeneralMCMSeeds runs GeneralMCM(g, k, seed, opts) once per seed on one
 // shared engine; bit-identical to fresh GeneralMCMWithConfig runs
 // (TestGeneralMCMSeedsMatchesFresh). cfg.Seed is ignored. Strict CONGEST
-// mode (opts.StrictCapacityBits > 0) runs on either backend, like the
-// fresh entry point, still through the shared engine.
+// mode (opts.StrictCapacityBits > 0) runs through the shared engine too.
 func GeneralMCMSeeds(g *graph.Graph, k int, cfg dist.Config, seeds []uint64, opts GeneralOptions) ([]*graph.Matching, []*dist.Stats) {
-	if k < 3 {
-		panic("core: GeneralMCM requires k > 2 (Algorithm 4)")
-	}
-	iters := opts.Iters
-	if iters <= 0 {
-		iters = TheoryIters(k)
-	}
+	iters := generalIters(k, opts)
 	matchings := make([]*graph.Matching, len(seeds))
 	stats := make([]*dist.Stats, len(seeds))
 	matchedEdge := make([]int32, g.N())
@@ -80,26 +55,15 @@ func GeneralMCMSeeds(g *graph.Graph, k int, cfg dist.Config, seeds []uint64, opt
 	r := dist.NewRunner(g, cfg)
 	defer r.Close()
 
-	if cfg.Backend.UseFlat() {
-		factory := func(nd *dist.Node) dist.RoundProgram {
-			return &generalMachine{
-				k: k, oracle: opts.Oracle, iters: iters, idleStop: opts.IdleStop,
-				capacity:    opts.StrictCapacityBits,
-				matchedEdge: matchedEdge,
-			}
+	factory := func(nd *dist.Node) dist.RoundProgram {
+		return &generalMachine{
+			k: k, oracle: opts.Oracle, iters: iters, idleStop: opts.IdleStop,
+			capacity:    opts.StrictCapacityBits,
+			matchedEdge: matchedEdge,
 		}
-		for i, seed := range seeds {
-			stats[i] = r.RunFlat(seed, factory)
-			matchings[i] = graph.CollectMatching(g, matchedEdge)
-		}
-		return matchings, stats
-	}
-
-	program := func(nd *dist.Node) {
-		generalProgram(nd, k, iters, opts, matchedEdge)
 	}
 	for i, seed := range seeds {
-		stats[i] = r.Run(seed, program)
+		stats[i] = r.RunFlat(seed, factory)
 		matchings[i] = graph.CollectMatching(g, matchedEdge)
 	}
 	return matchings, stats

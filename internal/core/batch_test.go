@@ -34,14 +34,11 @@ func sameMatching(t *testing.T, label string, g *graph.Graph, got, want *graph.M
 func TestBipartiteMCMSeedsMatchesFresh(t *testing.T) {
 	g := gen.BipartiteGnp(rng.New(41), 24, 20, 0.15)
 	seeds := []uint64{3, 17, 92, 12345}
-	for _, be := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
-		cfg := dist.Config{Backend: be}
-		ms, sts := BipartiteMCMSeeds(g, 3, cfg, seeds, true)
-		for i, seed := range seeds {
-			wm, wst := BipartiteMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: be}, true)
-			sameMatching(t, be.String(), g, ms[i], wm)
-			sameStats(t, be.String(), sts[i], wst)
-		}
+	ms, sts := BipartiteMCMSeeds(g, 3, dist.Config{}, seeds, true)
+	for i, seed := range seeds {
+		wm, wst := BipartiteMCMWithConfig(g, 3, dist.Config{Seed: seed}, true)
+		sameMatching(t, "seeds", g, ms[i], wm)
+		sameStats(t, "seeds", sts[i], wst)
 	}
 }
 
@@ -49,33 +46,34 @@ func TestGeneralMCMSeedsMatchesFresh(t *testing.T) {
 	g := gen.Gnp(rng.New(42), 24, 0.2)
 	seeds := []uint64{5, 77, 3021}
 	opts := GeneralOptions{Oracle: true, IdleStop: 10}
-	for _, be := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
-		cfg := dist.Config{Backend: be}
-		ms, sts := GeneralMCMSeeds(g, 3, cfg, seeds, opts)
-		for i, seed := range seeds {
-			wm, wst := GeneralMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: be}, opts)
-			sameMatching(t, be.String(), g, ms[i], wm)
-			sameStats(t, be.String(), sts[i], wst)
-		}
+	ms, sts := GeneralMCMSeeds(g, 3, dist.Config{}, seeds, opts)
+	for i, seed := range seeds {
+		wm, wst := GeneralMCMWithConfig(g, 3, dist.Config{Seed: seed}, opts)
+		sameMatching(t, "seeds", g, ms[i], wm)
+		sameStats(t, "seeds", sts[i], wst)
 	}
 }
 
 // TestRepairFullRegionMatchesMCM: a full-region repair from the empty
 // matching on an unmasked runner is exactly BipartiteMCM — same phases,
-// same draws, bit-identical output on both backends.
+// same draws, bit-identical output from the flat repair and from its
+// blocking reference.
 func TestRepairFullRegionMatchesMCM(t *testing.T) {
 	g := gen.BipartiteGnp(rng.New(43), 20, 20, 0.18)
-	for _, be := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
-		r := dist.NewRunner(g, dist.Config{Backend: be})
+	want, wst := BipartiteMCMWithConfig(g, 3, dist.Config{Seed: 9}, true)
+	for name, repair := range map[string]func(*dist.Runner, uint64, []int32, []bool, RepairOptions) *dist.Stats{
+		"flat":      RepairBipartite,
+		"coroutine": repairBipartiteCoroutine,
+	} {
+		r := dist.NewRunner(g, dist.Config{})
 		matchedEdge := make([]int32, g.N())
 		for v := range matchedEdge {
 			matchedEdge[v] = -1
 		}
-		st := RepairBipartite(r, 9, matchedEdge, nil, RepairOptions{K: 3, Oracle: true, Backend: be})
+		st := repair(r, 9, matchedEdge, nil, RepairOptions{K: 3, Oracle: true})
 		got := graph.CollectMatching(g, matchedEdge)
-		want, wst := BipartiteMCMWithConfig(g, 3, dist.Config{Seed: 9, Backend: be}, true)
-		sameMatching(t, be.String(), g, got, want)
-		sameStats(t, be.String(), st, wst)
+		sameMatching(t, name, g, got, want)
+		sameStats(t, name, st, wst)
 		r.Close()
 	}
 }

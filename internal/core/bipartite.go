@@ -388,19 +388,27 @@ func BipartiteMCM(g *graph.Graph, k int, seed uint64, oracle bool) (*graph.Match
 }
 
 // BipartiteMCMWithConfig is BipartiteMCM with full engine configuration
-// (per-round traffic profiling, round limits, backend selection —
-// cfg.Backend picks between the bit-identical coroutine and flat
-// executions; auto means flat).
+// (per-round traffic profiling, round limits). It executes the flat form
+// (flat.go).
 func BipartiteMCMWithConfig(g *graph.Graph, k int, cfg dist.Config, oracle bool) (*graph.Matching, *dist.Stats) {
+	checkBipartiteMCM(g, k)
+	return runFlatBipartite(g, k, cfg, oracle)
+}
+
+// checkBipartiteMCM rejects the inputs Algorithm 3 is not defined on.
+func checkBipartiteMCM(g *graph.Graph, k int) {
 	if k < 1 {
 		panic("core: BipartiteMCM requires k >= 1")
 	}
 	if !g.IsBipartite() {
 		panic("core: BipartiteMCM requires a bipartite graph")
 	}
-	if cfg.Backend.UseFlat() {
-		return runFlatBipartite(g, k, cfg, oracle)
-	}
+}
+
+// bipartiteMCMCoroutine is the blocking form of BipartiteMCMWithConfig:
+// the readable reference the flat machines are pinned bit-identical to
+// (TestFlatMatchesCoroutineBipartite).
+func bipartiteMCMCoroutine(g *graph.Graph, k int, cfg dist.Config, oracle bool) (*graph.Matching, *dist.Stats) {
 	matchedEdge := make([]int32, g.N())
 	stats := dist.Run(g, cfg, func(nd *dist.Node) {
 		st := &MatchState{MatchedPort: -1}

@@ -377,9 +377,8 @@ func BipartiteMCMStrict(g *graph.Graph, k int, seed uint64, capacityBits int, or
 }
 
 // BipartiteMCMStrictWithConfig is BipartiteMCMStrict with full engine
-// configuration (profiling, limits, backend selection — cfg.Backend picks
-// between the bit-identical coroutine and flat executions; auto means
-// flat, with the chunk pipelining of flat_strict.go).
+// configuration (profiling, limits). It executes the flat form, with the
+// chunk pipelining of flat_strict.go.
 func BipartiteMCMStrictWithConfig(g *graph.Graph, k int, cfg dist.Config, capacityBits int, oracle bool) (*graph.Matching, *dist.Stats) {
 	if k < 1 {
 		panic("core: BipartiteMCMStrict requires k >= 1")
@@ -390,9 +389,13 @@ func BipartiteMCMStrictWithConfig(g *graph.Graph, k int, cfg dist.Config, capaci
 	if g.N() >= 1<<24 {
 		panic("core: strict mode packs leader ids into 24 bits; n too large")
 	}
-	if cfg.Backend.UseFlat() {
-		return runFlatBipartiteStrict(g, k, cfg, capacityBits, oracle)
-	}
+	return runFlatBipartiteStrict(g, k, cfg, capacityBits, oracle)
+}
+
+// bipartiteMCMStrictCoroutine is the blocking form of
+// BipartiteMCMStrictWithConfig: the readable reference the flat machines
+// are pinned bit-identical to (TestFlatMatchesCoroutineStrict).
+func bipartiteMCMStrictCoroutine(g *graph.Graph, k int, cfg dist.Config, capacityBits int, oracle bool) (*graph.Matching, *dist.Stats) {
 	matchedEdge := make([]int32, g.N())
 	stats := dist.Run(g, cfg, func(nd *dist.Node) {
 		st := &MatchState{MatchedPort: -1}

@@ -24,16 +24,18 @@
 //
 // # Execution forms
 //
-// BipartiteMCM, GeneralMCM and WeightedMWM exist in two bit-identical
-// forms sharing one engine substrate: the blocking programs in
-// bipartite.go/general.go/weighted.go (coroutine backend — the readable
-// reference notation) and the machine-composition ports in
-// flat.go/flat_general.go/flat_weighted.go (flat backend — dist.Machine
-// fragments chained by dist.Seq, zero stack switches, 3-6x the
-// node-rounds/s; see DESIGN.md §1 and BENCH_pr3.json). dist.Config.Backend
-// selects the form (auto = flat); the differential suites in flat_test.go
-// pin matching, Stats and per-round profiles equal, so any change to one
-// form must be mirrored in the other. Strict CONGEST execution
-// (bipartite_strict.go) and the LOCAL-model GenericMCM have only the
-// blocking form.
+// Every exported entry point runs the machine-composition ports in
+// flat.go, flat_general.go, flat_weighted.go, flat_strict.go and
+// flat_generic.go: dist.Machine fragments chained by dist.Seq, zero
+// stack switches, 3-6x the node-rounds/s of blocking programs (see
+// DESIGN.md §1 and BENCH_pr3.json). The blocking programs in
+// bipartite.go, bipartite_strict.go, general.go, weighted.go, generic.go
+// and repair.go are the readable reference notation, kept as unexported
+// functions (bipartiteMCMCoroutine, bipartiteMCMStrictCoroutine,
+// generalMCMCoroutine, weightedMWMCoroutine, genericMCMCoroutine,
+// repairBipartiteCoroutine). The differential suites (flat_test.go,
+// flat_strict_test.go, flat_generic_test.go, batch_test.go and
+// repair_active_test.go) call them directly and pin matching, Stats and
+// per-round profiles equal, so any change to one form must be mirrored
+// in the other. CountPaths has only the blocking form.
 package core

@@ -1,6 +1,6 @@
 package core
 
-// Flat-backend (dist.RoundProgram) execution of the §3.2 machinery: the
+// Flat (dist.RoundProgram) execution of the §3.2 machinery: the
 // counting BFS, token-walk MIS emulation and commit phases of Algorithms
 // 2-4 as dist.Machine fragments, composed with dist.Seq into the same
 // per-(ℓ, iteration) pipeline that bipartite.go writes as nested blocking
@@ -451,7 +451,7 @@ func (m *CountLeadersMachine) OnRound(nd *dist.Node, in []dist.Incoming) bool {
 // Leader reports the BFS outcome at this node.
 func (m *CountLeadersMachine) Leader() bool { return m.bfs.res.leader }
 
-// runFlatBipartite is the flat-backend implementation behind
+// runFlatBipartite is the flat implementation behind
 // BipartiteMCM/BipartiteMCMWithConfig.
 func runFlatBipartite(g *graph.Graph, k int, cfg dist.Config, oracle bool) (*graph.Matching, *dist.Stats) {
 	matchedEdge := make([]int32, g.N())

@@ -1,6 +1,6 @@
 package core
 
-// Flat-backend execution of §3.3, Algorithm 4: the red/blue sampling
+// Flat execution of §3.3, Algorithm 4: the red/blue sampling
 // loop as a RoundProgram that re-aims the shared phaseEnv at each
 // iteration's bipartite subgraph Ĝ and drives the §3.2 phasesMachine on
 // it. Segment-for-segment transliteration of GeneralMCM's blocking node
@@ -176,7 +176,7 @@ func (m *generalMachine) finish(nd *dist.Node) {
 	}
 }
 
-// runFlatGeneral is the flat-backend implementation behind
+// runFlatGeneral is the flat implementation behind
 // GeneralMCM/GeneralMCMWithConfig; opts.StrictCapacityBits > 0 selects
 // strict CONGEST pipelining for the inner phases.
 func runFlatGeneral(g *graph.Graph, k int, cfg dist.Config, opts GeneralOptions, iters int) (*graph.Matching, *dist.Stats) {

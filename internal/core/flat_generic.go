@@ -1,6 +1,6 @@
 package core
 
-// Flat-backend execution of §3.1, Algorithms 1-2: the LOCAL-model generic
+// Flat execution of §3.1, Algorithms 1-2: the LOCAL-model generic
 // (1−ε)-MCM as a RoundProgram. Segment-for-segment transliteration of
 // runGenericNode's blocking structure — the same floods with the same
 // per-round map copies (so Bits accounting matches), the same DFS

@@ -1,6 +1,6 @@
 package core
 
-// Cross-backend equivalence proof for the LOCAL-model generic algorithm
+// Flat-vs-reference equivalence proof for the LOCAL-model generic algorithm
 // (flat_generic.go): same seed ⇒ bit-identical matching and identical
 // Stats — including the Θ(|V|+|E|)-bit message accounting of the flooded
 // neighborhood tables — across topologies, termination modes and worker
@@ -27,11 +27,11 @@ func TestFlatMatchesCoroutineGeneric(t *testing.T) {
 	for name, g := range tops {
 		for _, oracle := range []bool{true, false} {
 			label := modeLabel(name, oracle)
-			cm, cst := GenericMCMWithConfig(g, eps,
-				dist.Config{Seed: 13, Profile: true, Backend: dist.BackendCoroutine}, oracle)
+			cm, cst := genericMCMCoroutine(g, eps,
+				dist.Config{Seed: 13, Profile: true}, oracle)
 			for _, workers := range []int{1, 3} {
 				fm, fst := GenericMCMWithConfig(g, eps,
-					dist.Config{Seed: 13, Profile: true, Workers: workers, Backend: dist.BackendFlat}, oracle)
+					dist.Config{Seed: 13, Profile: true, Workers: workers}, oracle)
 				matchingsEqual(t, label, g, cm, fm)
 				statsEqual(t, label, cst, fst)
 			}

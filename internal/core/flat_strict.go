@@ -1,6 +1,6 @@
 package core
 
-// Flat-backend (dist.RoundProgram) execution of strict CONGEST mode: the
+// Flat (dist.RoundProgram) execution of strict CONGEST mode: the
 // Lemma 3.7 chunk pipelining of bipartite_strict.go as dist.Machine
 // fragments, composed with dist.Seq into the same per-(ℓ, iteration)
 // pipeline. Each machine is a segment-for-segment transliteration of its
@@ -488,7 +488,7 @@ func (m *strictPhasesMachine) next(nd *dist.Node) dist.Machine {
 	return &m.aug
 }
 
-// runFlatBipartiteStrict is the flat-backend implementation behind
+// runFlatBipartiteStrict is the flat implementation behind
 // BipartiteMCMStrict/BipartiteMCMStrictWithConfig.
 func runFlatBipartiteStrict(g *graph.Graph, k int, cfg dist.Config, capacityBits int, oracle bool) (*graph.Matching, *dist.Stats) {
 	matchedEdge := make([]int32, g.N())

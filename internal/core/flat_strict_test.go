@@ -1,6 +1,6 @@
 package core
 
-// Cross-backend equivalence proofs for the strict CONGEST port
+// Flat-vs-reference equivalence proofs for the strict CONGEST port
 // (flat_strict.go): same seed ⇒ bit-identical matching and identical
 // Stats — including the capacity-capped MaxMessageBits and the chunked
 // per-round profile — on random and pathological topologies, both
@@ -18,7 +18,7 @@ import (
 	"distmatch/internal/rng"
 )
 
-// TestFlatMatchesCoroutineStrict is the backend equivalence proof for the
+// TestFlatMatchesCoroutineStrict is the flat-vs-reference equivalence proof for the
 // Lemma 3.7 pipelining of Algorithm 3.
 func TestFlatMatchesCoroutineStrict(t *testing.T) {
 	tops := map[string]*graph.Graph{
@@ -31,14 +31,14 @@ func TestFlatMatchesCoroutineStrict(t *testing.T) {
 		for _, capacity := range []int{1, 3, 8} {
 			for _, oracle := range []bool{true, false} {
 				label := modeLabel(name, oracle)
-				cm, cst := BipartiteMCMStrictWithConfig(g, 2,
-					dist.Config{Seed: 19, Profile: true, Backend: dist.BackendCoroutine}, capacity, oracle)
+				cm, cst := bipartiteMCMStrictCoroutine(g, 2,
+					dist.Config{Seed: 19, Profile: true}, capacity, oracle)
 				if cst.MaxMessageBits > capacity {
 					t.Fatalf("%s/cap=%d: coroutine peak width %d exceeds capacity", label, capacity, cst.MaxMessageBits)
 				}
 				for _, workers := range []int{1, 3, 8} {
 					fm, fst := BipartiteMCMStrictWithConfig(g, 2,
-						dist.Config{Seed: 19, Profile: true, Workers: workers, Backend: dist.BackendFlat}, capacity, oracle)
+						dist.Config{Seed: 19, Profile: true, Workers: workers}, capacity, oracle)
 					matchingsEqual(t, label, g, cm, fm)
 					statsEqual(t, label, cst, fst)
 				}
@@ -47,7 +47,7 @@ func TestFlatMatchesCoroutineStrict(t *testing.T) {
 	}
 }
 
-// TestFlatMatchesCoroutineGeneralStrict is the backend equivalence proof
+// TestFlatMatchesCoroutineGeneralStrict is the flat-vs-reference equivalence proof
 // for Algorithm 4 with strict inner phases (Theorem 3.11's O(log n)-bit
 // claim as an execution constraint).
 func TestFlatMatchesCoroutineGeneralStrict(t *testing.T) {
@@ -59,11 +59,11 @@ func TestFlatMatchesCoroutineGeneralStrict(t *testing.T) {
 		for _, oracle := range []bool{true, false} {
 			opts := GeneralOptions{Iters: 12, IdleStop: 6, Oracle: oracle, StrictCapacityBits: 6}
 			label := modeLabel(name, oracle)
-			cm, cst := GeneralMCMWithConfig(g, 3,
-				dist.Config{Seed: 23, Profile: true, Backend: dist.BackendCoroutine}, opts)
+			cm, cst := generalMCMCoroutine(g, 3,
+				dist.Config{Seed: 23, Profile: true}, opts)
 			for _, workers := range []int{1, 4} {
 				fm, fst := GeneralMCMWithConfig(g, 3,
-					dist.Config{Seed: 23, Profile: true, Workers: workers, Backend: dist.BackendFlat}, opts)
+					dist.Config{Seed: 23, Profile: true, Workers: workers}, opts)
 				matchingsEqual(t, label, g, cm, fm)
 				statsEqual(t, label, cst, fst)
 			}
@@ -72,9 +72,9 @@ func TestFlatMatchesCoroutineGeneralStrict(t *testing.T) {
 }
 
 // TestFlatMatchesCoroutineStrictFaulted replays crash-fault plans against
-// both backends of the strict phase pipeline: a crashed node goes silent,
+// both forms of the strict phase pipeline: a crashed node goes silent,
 // which the protocol tolerates (silence never trips the route-validation
-// panics), and the two backends must stay bit-identical through it. The
+// panics), and the two forms must stay bit-identical through it. The
 // runs are driven at the engine level because a crashed node never writes
 // its matched edge — the comparison is the raw per-node outcome array
 // (crashed entries keep the -2 sentinel), not a collected Matching.

@@ -1,6 +1,6 @@
 package core
 
-// Cross-backend equivalence proofs for the flat ports of Algorithms 3-5:
+// Flat-vs-reference equivalence proofs for the flat ports of Algorithms 3-5:
 // same seed ⇒ bit-identical matching and identical Stats (rounds,
 // messages, bits, peak width, oracle calls, per-round profile) on random
 // and pathological topologies, both termination modes, several worker
@@ -42,7 +42,7 @@ func modeLabel(name string, oracle bool) string {
 	return name + "/budget"
 }
 
-// TestFlatMatchesCoroutineBipartite is the backend equivalence proof for
+// TestFlatMatchesCoroutineBipartite is the flat-vs-reference equivalence proof for
 // Algorithm 3 (Theorem 3.8).
 func TestFlatMatchesCoroutineBipartite(t *testing.T) {
 	tops := map[string]*graph.Graph{
@@ -57,11 +57,11 @@ func TestFlatMatchesCoroutineBipartite(t *testing.T) {
 		for _, k := range []int{1, 3} {
 			for _, oracle := range []bool{true, false} {
 				label := modeLabel(name, oracle)
-				cm, cst := BipartiteMCMWithConfig(g, k,
-					dist.Config{Seed: 97, Profile: true, Backend: dist.BackendCoroutine}, oracle)
+				cm, cst := bipartiteMCMCoroutine(g, k,
+					dist.Config{Seed: 97, Profile: true}, oracle)
 				for _, workers := range []int{1, 3, 8} {
 					fm, fst := BipartiteMCMWithConfig(g, k,
-						dist.Config{Seed: 97, Profile: true, Workers: workers, Backend: dist.BackendFlat}, oracle)
+						dist.Config{Seed: 97, Profile: true, Workers: workers}, oracle)
 					matchingsEqual(t, label, g, cm, fm)
 					statsEqual(t, label, cst, fst)
 				}
@@ -70,7 +70,7 @@ func TestFlatMatchesCoroutineBipartite(t *testing.T) {
 	}
 }
 
-// TestFlatMatchesCoroutineGeneral is the backend equivalence proof for
+// TestFlatMatchesCoroutineGeneral is the flat-vs-reference equivalence proof for
 // Algorithm 4 (Theorem 3.11), across idle-stop settings.
 func TestFlatMatchesCoroutineGeneral(t *testing.T) {
 	tops := map[string]*graph.Graph{
@@ -83,11 +83,11 @@ func TestFlatMatchesCoroutineGeneral(t *testing.T) {
 			for _, idle := range []int{0, 6} {
 				opts := GeneralOptions{Iters: 30, IdleStop: idle, Oracle: oracle}
 				label := modeLabel(name, oracle)
-				cm, cst := GeneralMCMWithConfig(g, 3,
-					dist.Config{Seed: 55, Profile: true, Backend: dist.BackendCoroutine}, opts)
+				cm, cst := generalMCMCoroutine(g, 3,
+					dist.Config{Seed: 55, Profile: true}, opts)
 				for _, workers := range []int{1, 4} {
 					fm, fst := GeneralMCMWithConfig(g, 3,
-						dist.Config{Seed: 55, Profile: true, Workers: workers, Backend: dist.BackendFlat}, opts)
+						dist.Config{Seed: 55, Profile: true, Workers: workers}, opts)
 					matchingsEqual(t, label, g, cm, fm)
 					statsEqual(t, label, cst, fst)
 				}
@@ -96,7 +96,7 @@ func TestFlatMatchesCoroutineGeneral(t *testing.T) {
 	}
 }
 
-// TestFlatMatchesCoroutineWeighted is the backend equivalence proof for
+// TestFlatMatchesCoroutineWeighted is the flat-vs-reference equivalence proof for
 // Algorithm 5 (Theorem 4.5), per-iteration trace snapshots included.
 func TestFlatMatchesCoroutineWeighted(t *testing.T) {
 	tops := map[string]*graph.Graph{
@@ -111,12 +111,12 @@ func TestFlatMatchesCoroutineWeighted(t *testing.T) {
 		for _, oracle := range []bool{true, false} {
 			label := modeLabel(name, oracle)
 			ctrace := make([]*graph.Matching, WeightedIters(eps)+1)
-			cm, cst := WeightedMWMWithConfig(g,
-				dist.Config{Seed: 77, Profile: true, Backend: dist.BackendCoroutine}, eps, oracle, ctrace)
+			cm, cst := weightedMWMCoroutine(g,
+				dist.Config{Seed: 77, Profile: true}, eps, oracle, ctrace)
 			for _, workers := range []int{1, 5} {
 				ftrace := make([]*graph.Matching, WeightedIters(eps)+1)
 				fm, fst := WeightedMWMWithConfig(g,
-					dist.Config{Seed: 77, Profile: true, Workers: workers, Backend: dist.BackendFlat}, eps, oracle, ftrace)
+					dist.Config{Seed: 77, Profile: true, Workers: workers}, eps, oracle, ftrace)
 				matchingsEqual(t, label, g, cm, fm)
 				statsEqual(t, label, cst, fst)
 				for i := range ctrace {
@@ -132,7 +132,7 @@ func TestFlatMatchesCoroutineWeighted(t *testing.T) {
 func TestFlatBipartiteGuarantee(t *testing.T) {
 	g := gen.BipartiteGnp(rng.New(35), 60, 60, 0.08)
 	k := 3
-	m, _ := BipartiteMCMWithConfig(g, k, dist.Config{Seed: 9, Backend: dist.BackendFlat}, true)
+	m, _ := BipartiteMCMWithConfig(g, k, dist.Config{Seed: 9}, true)
 	if err := m.Verify(g); err != nil {
 		t.Fatal(err)
 	}

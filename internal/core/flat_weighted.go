@@ -1,6 +1,6 @@
 package core
 
-// Flat-backend execution of §4, Algorithm 5: the wrap-gain iteration as
+// Flat execution of §4, Algorithm 5: the wrap-gain iteration as
 // a RoundProgram that derives w_M (one exchange round), drives the
 // lpr.WeightsMachine black box on it, and applies the length-3 wraps
 // (one release round) — exactly the segments of WeightedMWM's blocking
@@ -135,10 +135,9 @@ func (m *weightedMachine) applyWraps(nd *dist.Node) (again bool) {
 	return true
 }
 
-// runFlatWeighted is the flat-backend implementation behind
+// runFlatWeighted is the flat implementation behind
 // WeightedMWM/WeightedMWMWithConfig.
-func runFlatWeighted(g *graph.Graph, cfg dist.Config, iters int, oracle bool,
-	record func(nd *dist.Node, st *MatchState, it int)) ([]int32, *dist.Stats) {
+func runFlatWeighted(g *graph.Graph, cfg dist.Config, iters int, oracle bool, record weightedRecorder) ([]int32, *dist.Stats) {
 
 	matchedEdge := make([]int32, g.N())
 	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {

@@ -60,21 +60,29 @@ func GeneralMCM(g *graph.Graph, k int, seed uint64, opts GeneralOptions) (*graph
 }
 
 // GeneralMCMWithConfig is GeneralMCM with full engine configuration
-// (profiling, limits, backend selection — cfg.Backend picks between the
-// bit-identical coroutine and flat executions; auto means flat). Strict
-// CONGEST mode (opts.StrictCapacityBits > 0) runs on either backend:
-// the flat port of the chunk pipelining lives in flat_strict.go.
+// (profiling, limits). It executes the flat form (flat_general.go);
+// strict CONGEST mode (opts.StrictCapacityBits > 0) uses the flat chunk
+// pipelining of flat_strict.go.
 func GeneralMCMWithConfig(g *graph.Graph, k int, cfg dist.Config, opts GeneralOptions) (*graph.Matching, *dist.Stats) {
+	return runFlatGeneral(g, k, cfg, opts, generalIters(k, opts))
+}
+
+// generalIters checks k and resolves the iteration count of opts.
+func generalIters(k int, opts GeneralOptions) int {
 	if k < 3 {
 		panic("core: GeneralMCM requires k > 2 (Algorithm 4)")
 	}
-	iters := opts.Iters
-	if iters <= 0 {
-		iters = TheoryIters(k)
+	if opts.Iters > 0 {
+		return opts.Iters
 	}
-	if cfg.Backend.UseFlat() {
-		return runFlatGeneral(g, k, cfg, opts, iters)
-	}
+	return TheoryIters(k)
+}
+
+// generalMCMCoroutine is the blocking form of GeneralMCMWithConfig: the
+// readable reference the flat machines are pinned bit-identical to
+// (TestFlatMatchesCoroutineGeneral).
+func generalMCMCoroutine(g *graph.Graph, k int, cfg dist.Config, opts GeneralOptions) (*graph.Matching, *dist.Stats) {
+	iters := generalIters(k, opts)
 	matchedEdge := make([]int32, g.N())
 	stats := dist.Run(g, cfg, func(nd *dist.Node) {
 		generalProgram(nd, k, iters, opts, matchedEdge)
@@ -82,8 +90,7 @@ func GeneralMCMWithConfig(g *graph.Graph, k int, cfg dist.Config, opts GeneralOp
 	return graph.CollectMatching(g, matchedEdge), stats
 }
 
-// generalProgram is Algorithm 4's blocking node program, shared by the
-// fresh entry point above and the batch GeneralMCMSeeds.
+// generalProgram is Algorithm 4's blocking node program.
 func generalProgram(nd *dist.Node, k, iters int, opts GeneralOptions, matchedEdge []int32) {
 	st := &MatchState{MatchedPort: -1}
 	nbrRed := make([]bool, nd.Deg())

@@ -103,21 +103,31 @@ func GenericMCM(g *graph.Graph, eps float64, seed uint64, oracle bool) (*graph.M
 }
 
 // GenericMCMWithConfig is GenericMCM with full engine configuration
-// (profiling, limits, backend selection — cfg.Backend picks between the
-// bit-identical coroutine and flat executions; auto means flat, via the
-// genericMachine of flat_generic.go).
+// (profiling, limits). It executes the flat form, the genericMachine of
+// flat_generic.go.
 func GenericMCMWithConfig(g *graph.Graph, eps float64, cfg dist.Config, oracle bool) (*graph.Matching, *dist.Stats) {
+	k := genericK(eps)
+	matchedEdge := make([]int32, g.N())
+	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
+		return &genericMachine{k: k, oracle: oracle, matchedEdge: matchedEdge}
+	})
+	return graph.CollectMatching(g, matchedEdge), stats
+}
+
+// genericK checks eps and returns the phase count k = ⌈1/ε⌉.
+func genericK(eps float64) int {
 	if eps <= 0 || eps >= 1 {
 		panic("core: GenericMCM requires 0 < eps < 1")
 	}
-	k := int(math.Ceil(1 / eps))
+	return int(math.Ceil(1 / eps))
+}
+
+// genericMCMCoroutine is the blocking form of GenericMCMWithConfig: the
+// readable reference genericMachine is pinned bit-identical to
+// (TestFlatMatchesCoroutineGeneric).
+func genericMCMCoroutine(g *graph.Graph, eps float64, cfg dist.Config, oracle bool) (*graph.Matching, *dist.Stats) {
+	k := genericK(eps)
 	matchedEdge := make([]int32, g.N())
-	if cfg.Backend.UseFlat() {
-		stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
-			return &genericMachine{k: k, oracle: oracle, matchedEdge: matchedEdge}
-		})
-		return graph.CollectMatching(g, matchedEdge), stats
-	}
 	stats := dist.Run(g, cfg, func(nd *dist.Node) {
 		runGenericNode(nd, k, oracle, matchedEdge)
 	})

@@ -24,9 +24,6 @@ type RepairOptions struct {
 	// Oracle selects convergence detection over the paper's fixed w.h.p.
 	// budgets, exactly as in BipartiteMCM.
 	Oracle bool
-	// Backend picks the execution form (auto means flat); both are
-	// bit-identical for equal seeds.
-	Backend dist.Backend
 }
 
 // RepairBipartite runs the phase machinery of BipartiteMCM on r's graph,
@@ -55,7 +52,48 @@ type RepairOptions struct {
 // region's live subgraph (in oracle mode surely; in budget mode w.h.p.).
 // Paths crossing the frozen boundary may remain — that is what the
 // certificate audit (internal/check's Berge probe) watches for.
+//
+// RepairBipartite runs the flat phase machines; repairBipartiteCoroutine
+// is the blocking reference it is pinned bit-identical to.
 func RepairBipartite(r *dist.Runner, seed uint64, matchedEdge []int32, inRegion []bool, opts RepairOptions) *dist.Stats {
+	in := checkRepair(r, matchedEdge, inRegion, opts)
+	return r.RunFlat(seed, func(nd *dist.Node) dist.RoundProgram {
+		v := nd.ID()
+		env := &phaseEnv{
+			st:          MatchState{MatchedPort: matchedPortOf(nd, matchedEdge[v])},
+			side:        nd.Side(),
+			participate: in(v),
+		}
+		env.active = func(p int) bool { return nd.EdgeLive(p) && in(nd.NbrID(p)) }
+		m := &phasesMachine{}
+		m.reset(env, opts.K, opts.Oracle)
+		return dist.AsProgram(m, func(nd *dist.Node) {
+			if env.participate {
+				writeBack(nd, &env.st, matchedEdge)
+			}
+		})
+	})
+}
+
+// repairBipartiteCoroutine is the blocking form of RepairBipartite: the
+// readable reference TestRepairActiveSetConformance and
+// TestRepairFullRegionMatchesMCM pin the flat repair against.
+func repairBipartiteCoroutine(r *dist.Runner, seed uint64, matchedEdge []int32, inRegion []bool, opts RepairOptions) *dist.Stats {
+	in := checkRepair(r, matchedEdge, inRegion, opts)
+	return r.Run(seed, func(nd *dist.Node) {
+		v := nd.ID()
+		st := &MatchState{MatchedPort: matchedPortOf(nd, matchedEdge[v])}
+		active := func(p int) bool { return nd.EdgeLive(p) && in(nd.NbrID(p)) }
+		runPhases(nd, st, nd.Side(), in(v), active, opts.K, opts.Oracle)
+		if in(v) {
+			writeBack(nd, st, matchedEdge)
+		}
+	})
+}
+
+// checkRepair validates RepairBipartite's arguments and returns the
+// region membership predicate.
+func checkRepair(r *dist.Runner, matchedEdge []int32, inRegion []bool, opts RepairOptions) func(v int) bool {
 	g := r.Graph()
 	if opts.K < 1 {
 		panic("core: RepairBipartite requires K >= 1")
@@ -69,35 +107,7 @@ func RepairBipartite(r *dist.Runner, seed uint64, matchedEdge []int32, inRegion 
 	if inRegion != nil && len(inRegion) != g.N() {
 		panic("core: RepairBipartite inRegion length mismatch")
 	}
-	in := func(v int) bool { return inRegion == nil || inRegion[v] }
-
-	if opts.Backend.UseFlat() {
-		return r.RunFlat(seed, func(nd *dist.Node) dist.RoundProgram {
-			v := nd.ID()
-			env := &phaseEnv{
-				st:          MatchState{MatchedPort: matchedPortOf(nd, matchedEdge[v])},
-				side:        nd.Side(),
-				participate: in(v),
-			}
-			env.active = func(p int) bool { return nd.EdgeLive(p) && in(nd.NbrID(p)) }
-			m := &phasesMachine{}
-			m.reset(env, opts.K, opts.Oracle)
-			return dist.AsProgram(m, func(nd *dist.Node) {
-				if env.participate {
-					writeBack(nd, &env.st, matchedEdge)
-				}
-			})
-		})
-	}
-	return r.Run(seed, func(nd *dist.Node) {
-		v := nd.ID()
-		st := &MatchState{MatchedPort: matchedPortOf(nd, matchedEdge[v])}
-		active := func(p int) bool { return nd.EdgeLive(p) && in(nd.NbrID(p)) }
-		runPhases(nd, st, nd.Side(), in(v), active, opts.K, opts.Oracle)
-		if in(v) {
-			writeBack(nd, st, matchedEdge)
-		}
-	})
+	return func(v int) bool { return inRegion == nil || inRegion[v] }
 }
 
 // BipartiteRepairer is the batch form of RepairBipartite: it owns a
@@ -108,9 +118,6 @@ func RepairBipartite(r *dist.Runner, seed uint64, matchedEdge []int32, inRegion 
 // the repair twin of the israeliitai batch machine recycling. Each
 // Repair is bit-identical to a RepairBipartite call with the same
 // arguments (TestRepairerMatchesRepairBipartite).
-//
-// The flat backend is used unconditionally (RepairOptions.Backend
-// BackendCoroutine falls back to the one-shot path — no slab to keep).
 type BipartiteRepairer struct {
 	r           *dist.Runner
 	opts        RepairOptions
@@ -151,9 +158,6 @@ func NewBipartiteRepairer(r *dist.Runner, matchedEdge []int32, opts RepairOption
 func (br *BipartiteRepairer) Repair(seed uint64, inRegion []bool) *dist.Stats {
 	if inRegion != nil && len(inRegion) != len(br.envs) {
 		panic("core: Repair inRegion length mismatch")
-	}
-	if !br.opts.Backend.UseFlat() {
-		return RepairBipartite(br.r, seed, br.matchedEdge, inRegion, br.opts)
 	}
 	br.region = inRegion
 	return br.r.RunFlat(seed, br.factory)

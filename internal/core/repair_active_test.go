@@ -3,12 +3,14 @@ package core
 // Active-set conformance for the repair layer: running the §3.2 phases
 // over a region with the engine restricted to that region (only region
 // nodes stepped) must be bit-identical — matching, rounds, messages,
-// bits, per-round profile — to the PR-4 full sweep in which frozen nodes
-// step idly through every round, across topologies × worker counts ×
-// backends × repairer forms. This is the contract internal/dynamic's
-// Maintainer relies on for every incremental Apply.
+// bits, per-round profile — to the full sweep in which frozen nodes step
+// idly through every round, across topologies × worker counts × repair
+// forms (the flat repairer and its blocking reference). This is the
+// contract internal/dynamic's Maintainer relies on for every incremental
+// Apply.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -35,8 +37,10 @@ func growBall(r *dist.Runner, matchedEdge []int32, seed int32, hops int) []int32
 
 // TestRepairActiveSetConformance drives two repair stages (empty-start
 // augmentation, then a second repair of a fresh region warm from the
-// first result) on every topology × worker count × backend, comparing
-// the full-sweep and active-set executions slot for slot.
+// first result) on every topology × worker count, comparing the
+// full-sweep repairer slot for slot against the active-set repairer and
+// against the blocking reference (repairBipartiteCoroutine) in both
+// schedules.
 func TestRepairActiveSetConformance(t *testing.T) {
 	tops := map[string]*graph.Graph{
 		"gnp":   gen.BipartiteGnp(rng.New(71), 18, 16, 0.2),
@@ -50,52 +54,64 @@ func TestRepairActiveSetConformance(t *testing.T) {
 		n := g.N()
 		for _, k := range []int{2, 3} {
 			for _, workers := range []int{1, 3} {
-				for _, backend := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
-					label := name
-					runRepairs := func(active bool) ([]int32, []*dist.Stats) {
-						r := dist.NewRunner(g, dist.Config{Workers: workers, Profile: true, Backend: backend})
-						defer r.Close()
-						matched := make([]int32, n)
-						for v := range matched {
-							matched[v] = -1
-						}
-						br := NewBipartiteRepairer(r, matched, RepairOptions{K: k, Oracle: true, Backend: backend})
-						var sts []*dist.Stats
-						for stage, seed := range []int32{0, int32(n / 2)} {
-							ids := growBall(r, matched, seed, 2*k-1)
-							region := make([]bool, n)
-							for _, v := range ids {
-								region[v] = true
-							}
-							if active {
-								// Engine schedule = region: the Runner's
-								// active set is already the grown ball.
-								sts = append(sts, br.Repair(uint64(100+stage), r.ActiveMask()))
-							} else {
-								r.ClearActive()
-								sts = append(sts, br.Repair(uint64(100+stage), region))
-							}
-						}
-						return matched, sts
+				runRepairs := func(active, reference bool) ([]int32, []*dist.Stats) {
+					r := dist.NewRunner(g, dist.Config{Workers: workers, Profile: true})
+					defer r.Close()
+					matched := make([]int32, n)
+					for v := range matched {
+						matched[v] = -1
 					}
-					fullM, fullSt := runRepairs(false)
-					actM, actSt := runRepairs(true)
-					if !reflect.DeepEqual(fullM, actM) {
-						t.Fatalf("%s k=%d w=%d %v: matchings diverge\nfull %v\nact  %v",
-							label, k, workers, backend, fullM, actM)
+					opts := RepairOptions{K: k, Oracle: true}
+					br := NewBipartiteRepairer(r, matched, opts)
+					repair := func(seed uint64, region []bool) *dist.Stats {
+						if reference {
+							return repairBipartiteCoroutine(r, seed, matched, region, opts)
+						}
+						return br.Repair(seed, region)
+					}
+					var sts []*dist.Stats
+					for stage, seed := range []int32{0, int32(n / 2)} {
+						ids := growBall(r, matched, seed, 2*k-1)
+						region := make([]bool, n)
+						for _, v := range ids {
+							region[v] = true
+						}
+						if active {
+							// Engine schedule = region: the Runner's
+							// active set is already the grown ball.
+							sts = append(sts, repair(uint64(100+stage), r.ActiveMask()))
+						} else {
+							r.ClearActive()
+							sts = append(sts, repair(uint64(100+stage), region))
+						}
+					}
+					return matched, sts
+				}
+				fullM, fullSt := runRepairs(false, false)
+				for _, form := range []struct {
+					label             string
+					active, reference bool
+				}{
+					{"active", true, false},
+					{"reference", false, true},
+					{"reference/active", true, true},
+				} {
+					label := fmt.Sprintf("%s k=%d w=%d %s", name, k, workers, form.label)
+					gotM, gotSt := runRepairs(form.active, form.reference)
+					if !reflect.DeepEqual(fullM, gotM) {
+						t.Fatalf("%s: matchings diverge\nfull %v\ngot  %v", label, fullM, gotM)
 					}
 					for i := range fullSt {
-						if fullSt[i].Rounds != actSt[i].Rounds || fullSt[i].Messages != actSt[i].Messages ||
-							fullSt[i].Bits != actSt[i].Bits {
-							t.Fatalf("%s k=%d w=%d %v stage %d: stats diverge: full %v vs active %v",
-								label, k, workers, backend, i, fullSt[i], actSt[i])
+						if fullSt[i].Rounds != gotSt[i].Rounds || fullSt[i].Messages != gotSt[i].Messages ||
+							fullSt[i].Bits != gotSt[i].Bits {
+							t.Fatalf("%s stage %d: stats diverge: full %v vs %v", label, i, fullSt[i], gotSt[i])
 						}
-						if !reflect.DeepEqual(fullSt[i].Profile, actSt[i].Profile) {
-							t.Fatalf("%s k=%d w=%d %v stage %d: profiles diverge", label, k, workers, backend, i)
+						if !reflect.DeepEqual(fullSt[i].Profile, gotSt[i].Profile) {
+							t.Fatalf("%s stage %d: profiles diverge", label, i)
 						}
-						if actSt[i].NodeRounds > fullSt[i].NodeRounds {
+						if form.active && gotSt[i].NodeRounds > fullSt[i].NodeRounds {
 							t.Fatalf("%s stage %d: active swept more than full (%d > %d)",
-								label, i, actSt[i].NodeRounds, fullSt[i].NodeRounds)
+								label, i, gotSt[i].NodeRounds, fullSt[i].NodeRounds)
 						}
 					}
 				}

@@ -52,9 +52,25 @@ func WeightedMWM(g *graph.Graph, eps float64, seed uint64, oracle bool, trace []
 }
 
 // WeightedMWMWithConfig is WeightedMWM with full engine configuration
-// (profiling, limits, backend selection — cfg.Backend picks between the
-// bit-identical coroutine and flat executions; auto means flat).
+// (profiling, limits). It executes the flat form (flat_weighted.go).
 func WeightedMWMWithConfig(g *graph.Graph, cfg dist.Config, eps float64, oracle bool, trace []*graph.Matching) (*graph.Matching, *dist.Stats) {
+	return weightedMWM(g, cfg, eps, oracle, trace, runFlatWeighted)
+}
+
+// weightedMWMCoroutine is the blocking form of WeightedMWMWithConfig: the
+// readable reference the flat machines are pinned bit-identical to
+// (TestFlatMatchesCoroutineWeighted).
+func weightedMWMCoroutine(g *graph.Graph, cfg dist.Config, eps float64, oracle bool, trace []*graph.Matching) (*graph.Matching, *dist.Stats) {
+	return weightedMWM(g, cfg, eps, oracle, trace, runCoroutineWeighted)
+}
+
+// weightedRecorder snapshots node st's matched edge after iteration it.
+type weightedRecorder func(nd *dist.Node, st *MatchState, it int)
+
+// weightedMWM sets up the per-iteration trace around one execution form
+// of Algorithm 5.
+func weightedMWM(g *graph.Graph, cfg dist.Config, eps float64, oracle bool, trace []*graph.Matching,
+	run func(*graph.Graph, dist.Config, int, bool, weightedRecorder) ([]int32, *dist.Stats)) (*graph.Matching, *dist.Stats) {
 	iters := WeightedIters(eps)
 	if trace != nil && len(trace) != iters+1 {
 		panic("core: trace must have WeightedIters(eps)+1 entries")
@@ -77,16 +93,17 @@ func WeightedMWMWithConfig(g *graph.Graph, cfg dist.Config, eps float64, oracle 
 		snap[it][nd.ID()] = e
 	}
 
-	if cfg.Backend.UseFlat() {
-		matchedEdge, stats := runFlatWeighted(g, cfg, iters, oracle, record)
-		if trace != nil {
-			for i := range snap {
-				trace[i] = graph.CollectMatching(g, snap[i])
-			}
+	matchedEdge, stats := run(g, cfg, iters, oracle, record)
+	if trace != nil {
+		for i := range snap {
+			trace[i] = graph.CollectMatching(g, snap[i])
 		}
-		return graph.CollectMatching(g, matchedEdge), stats
 	}
+	return graph.CollectMatching(g, matchedEdge), stats
+}
 
+// runCoroutineWeighted is Algorithm 5's blocking node program.
+func runCoroutineWeighted(g *graph.Graph, cfg dist.Config, iters int, oracle bool, record weightedRecorder) ([]int32, *dist.Stats) {
 	matchedEdge := make([]int32, g.N())
 	stats := dist.Run(g, cfg, func(nd *dist.Node) {
 		st := &MatchState{MatchedPort: -1}
@@ -149,10 +166,5 @@ func WeightedMWMWithConfig(g *graph.Graph, cfg dist.Config, eps float64, oracle 
 			matchedEdge[nd.ID()] = int32(nd.EdgeID(st.MatchedPort))
 		}
 	})
-	if trace != nil {
-		for i := range snap {
-			trace[i] = graph.CollectMatching(g, snap[i])
-		}
-	}
-	return graph.CollectMatching(g, matchedEdge), stats
+	return matchedEdge, stats
 }

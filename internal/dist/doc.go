@@ -5,12 +5,16 @@
 // are two program forms, sharing one substrate and bit-identical for
 // equivalent programs:
 //
-//   - Run(g, cfg, program) executes a blocking program func(*Node) on the
-//     coroutine backend: ordinary sequential code suspended at each round
+//   - Run(g, cfg, program) executes a blocking program func(*Node) on
+//     coroutines: ordinary sequential code suspended at each round
 //     barrier.
-//   - RunFlat(g, cfg, factory) executes a RoundProgram state machine on
-//     the flat backend: an OnRound(nd, inbox) step function the workers
-//     call directly in a tight loop, with zero stack switches.
+//   - RunFlat(g, cfg, factory) executes a RoundProgram state machine: an
+//     OnRound(nd, inbox) step function the workers call directly in a
+//     tight loop, with zero stack switches.
+//
+// Every algorithm package runs its product entry points through RunFlat;
+// their blocking forms are unexported references pinned bit-identical to
+// the flat forms by the packages' TestFlat* suites.
 //
 // # Programming model (blocking form)
 //
@@ -53,18 +57,17 @@
 // Send/SendAll and all geometry accessors work identically; the blocking
 // Step primitives panic (there is no stack to park).
 //
-// Use the flat form for hot protocols — Israeli–Itai, Luby's MIS, the
-// LPR weight classes, LocalGreedy and the whole internal/core pipeline
-// (Algorithms 3-5) have RoundProgram ports, selected via Config.Backend
-// (bit-identical to their blocking forms, roughly 3-6x the node-rounds/s;
-// see DESIGN.md §1 for measurements). Protocols that nest sub-protocols
-// do not need a blocking stack for it: the Machine interface plus the
-// Seq combinator (machine.go) compose state-machine fragments — a
-// counting BFS feeding an MIS token walk feeding a commit broadcast,
-// repeated per phase — into one RoundProgram, segment-aligned with the
-// equivalent blocking call tree. Keep the blocking form as the readable
-// reference implementation and for programs written once and run rarely
-// — it is the more natural notation, and still fast.
+// Israeli–Itai, Luby's MIS, the LPR weight classes, LocalGreedy and the
+// whole internal/core pipeline (Algorithms 1-5) run as RoundProgram
+// ports (bit-identical to their blocking forms, roughly 3-6x the
+// node-rounds/s; see DESIGN.md §1 for measurements). Protocols that
+// nest sub-protocols do not need a blocking stack for it: the Machine
+// interface plus the Seq combinator (machine.go) compose state-machine
+// fragments — a counting BFS feeding an MIS token walk feeding a commit
+// broadcast, repeated per phase — into one RoundProgram, segment-aligned
+// with the equivalent blocking call tree. Keep the blocking form as the
+// readable reference implementation and for programs written once and
+// run rarely — it is the more natural notation, and still fast.
 //
 // For many short runs on one graph (seed sweeps, per-slot schedules),
 // Runner (runner.go) amortizes engine setup — slabs, dest tables, the
@@ -89,7 +92,7 @@
 // # Execution model
 //
 // The engine is built for throughput (BenchmarkEngineRound and
-// BenchmarkEngineRoundFlat track the two backends in node-rounds/s).
+// BenchmarkEngineRoundFlat track the two entry points in node-rounds/s).
 // The substrate is shared:
 //
 //   - Mailboxes are flat and CSR-indexed: one slot per directed arc,
@@ -107,12 +110,12 @@
 //     forked from Config.Seed by node id (rng.ForkSeed). Together with
 //     fixed mailbox slots and associative-commutative reductions this
 //     makes runs bit-identical regardless of worker count, scheduling or
-//     backend.
+//     entry point.
 //
-// The backends differ only in how a worker advances a node: the coroutine
-// backend resumes a parked goroutine-stack (iter.Pull, a
-// runtime.coroswitch pair per node-round, pooled across runs), while the
-// flat backend makes one interface call into the node's RoundProgram —
+// The entry points differ only in how a worker advances a node: Run
+// resumes a parked goroutine-stack (iter.Pull, a runtime.coroswitch pair
+// per node-round, pooled across runs), while RunFlat makes one interface
+// call into the node's RoundProgram —
 // which is why it clears the switch-pair ceiling described in DESIGN.md
 // §1.
 //

@@ -11,45 +11,6 @@ import (
 	"distmatch/internal/rng"
 )
 
-// Backend selects which execution backend an algorithm should run on.
-// The engine itself has two entry points with fixed backends — Run executes
-// blocking programs on coroutines, RunFlat executes RoundProgram state
-// machines with zero stack switches — so Backend is a *request* interpreted
-// by the algorithm packages that implement both forms (internal/israeliitai,
-// internal/mis, internal/lpr). Algorithms with only a blocking form ignore
-// it.
-type Backend uint8
-
-const (
-	// BackendAuto picks the flat backend whenever the algorithm has a
-	// RoundProgram port (it is bit-identical at 3-5x the node-rounds/s on
-	// the ported protocols; see DESIGN.md §1 and BENCH_pr2.json), falling
-	// back to coroutines otherwise. The zero value, so it is the default
-	// of a zero Config.
-	BackendAuto Backend = iota
-	// BackendCoroutine forces the blocking-program coroutine backend.
-	BackendCoroutine
-	// BackendFlat forces the RoundProgram backend; algorithms without a
-	// flat port still run on coroutines (the request is best-effort).
-	BackendFlat
-)
-
-// UseFlat reports whether an algorithm that has a RoundProgram port should
-// take it under this setting.
-func (b Backend) UseFlat() bool { return b != BackendCoroutine }
-
-func (b Backend) String() string {
-	switch b {
-	case BackendAuto:
-		return "auto"
-	case BackendCoroutine:
-		return "coroutine"
-	case BackendFlat:
-		return "flat"
-	}
-	return fmt.Sprintf("Backend(%d)", uint8(b))
-}
-
 // Config configures one Run.
 type Config struct {
 	// Seed is the root of all randomness: node v draws from the stream
@@ -64,10 +25,6 @@ type Config struct {
 	// MaxRounds aborts (panics) a run that exceeds this many rounds —
 	// a guard against protocols that fail to converge. 0 means no limit.
 	MaxRounds int
-	// Backend requests an execution backend from algorithm packages that
-	// implement both program forms; see Backend. Both backends are
-	// bit-identical, so this only affects throughput.
-	Backend Backend
 	// ActiveSet restricts the run to the listed node ids (nil means every
 	// node): only listed nodes are stepped — inactive nodes execute no
 	// program segments, send and receive nothing, and their RNG streams
@@ -610,12 +567,12 @@ type worker struct {
 	actLo, actHi int
 
 	// Round aggregates, reset at the start of runRound.
-	parked  int
-	done    int
-	orCnt   int
-	maxCnt  int
-	or      bool
-	max     float64
+	parked     int
+	done       int
+	orCnt      int
+	maxCnt     int
+	or         bool
+	max        float64
 	msgs       int64
 	bits       int64
 	suppressed int64

@@ -333,20 +333,6 @@ func TestFlatZeroAndTinyGraphs(t *testing.T) {
 	}
 }
 
-// TestBackendStrings pins the Backend knob's semantics and formatting.
-func TestBackendStrings(t *testing.T) {
-	if !BackendAuto.UseFlat() || !BackendFlat.UseFlat() || BackendCoroutine.UseFlat() {
-		t.Fatal("Backend.UseFlat truth table wrong")
-	}
-	for b, want := range map[Backend]string{
-		BackendAuto: "auto", BackendCoroutine: "coroutine", BackendFlat: "flat",
-	} {
-		if b.String() != want {
-			t.Fatalf("Backend(%d).String() = %q, want %q", b, b, want)
-		}
-	}
-}
-
 // TestLogBudget pins the shared budget helper against the historical
 // hand-rolled loop (8·⌈log₂ n⌉ + 8 for c = 8) and the fractional form.
 func TestLogBudget(t *testing.T) {

@@ -24,7 +24,7 @@ package dist
 // there, exactly as a blocking caller would invoke the next sub-protocol
 // before its next Step. A faithful transliteration therefore reproduces
 // the blocking original round for round, send for send, RNG draw for RNG
-// draw — the property the cross-backend differential suites assert.
+// draw — the property the flat-vs-reference differential suites assert.
 
 // Machine is a composable protocol fragment in state-machine form. The
 // contract mirrors RoundProgram with inverted completion polarity (done

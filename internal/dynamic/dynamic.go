@@ -25,7 +25,6 @@
 package dynamic
 
 import (
-	"distmatch/internal/dist"
 	"distmatch/internal/telemetry"
 )
 
@@ -170,9 +169,8 @@ type Options struct {
 	// recoverable fault, not a livelock. Negative keeps runs unbounded
 	// even under faults.
 	MaxRounds int
-	// Workers and Backend configure the underlying engine.
+	// Workers configures the underlying engine.
 	Workers int
-	Backend dist.Backend
 	// Telemetry, when set, registers the maintainer_* latency histograms
 	// (Apply, repair, certificate-probe wall time) on the given registry.
 	// Handles are atomics, so maintainers running in parallel — a shard

@@ -117,7 +117,7 @@ func New(g *graph.Graph, opts Options) *Maintainer {
 	opts = opts.withDefaults()
 	mt := &Maintainer{
 		g:           g,
-		r:           dist.NewRunner(g, dist.Config{Workers: opts.Workers, Backend: opts.Backend}),
+		r:           dist.NewRunner(g, dist.Config{Workers: opts.Workers}),
 		opts:        opts,
 		live:        make([]bool, g.M()),
 		liveDeg:     make([]int32, g.N()),
@@ -143,9 +143,8 @@ func New(g *graph.Graph, opts Options) *Maintainer {
 		mt.r.SetMaxRounds(opts.MaxRounds)
 	}
 	mt.repairer = core.NewBipartiteRepairer(mt.r, mt.matchedEdge, core.RepairOptions{
-		K:       opts.K,
-		Oracle:  !opts.Budgeted,
-		Backend: opts.Backend,
+		K:      opts.K,
+		Oracle: !opts.Budgeted,
 	})
 	if opts.StartEmpty {
 		mt.r.SetAllEdgesLive(false)

@@ -10,7 +10,6 @@ package dynamic
 import (
 	"testing"
 
-	"distmatch/internal/dist"
 	"distmatch/internal/exact"
 	"distmatch/internal/gen"
 	"distmatch/internal/graph"
@@ -129,30 +128,6 @@ func TestPropertyBudgetedMode(t *testing.T) {
 	for step := 0; step < 16; step++ {
 		mt.Apply(randomBatch(r, mt, 3))
 		checkState(t, mt, 0, step)
-	}
-}
-
-// TestPropertyBackendsAgree: the coroutine and flat repair paths are
-// bit-identical, so whole maintainer histories must coincide.
-func TestPropertyBackendsAgree(t *testing.T) {
-	history := func(be dist.Backend) []string {
-		r := rng.New(55)
-		g := gen.BipartiteGnp(r.Fork(1), 10, 10, 0.3)
-		mt := New(g, Options{K: 3, Seed: 6, StartEmpty: true, AuditEvery: 4, Backend: be})
-		defer mt.Close()
-		var h []string
-		for step := 0; step < 20; step++ {
-			mt.Apply(randomBatch(r, mt, 3))
-			h = append(h, matchKey(g, mt.Matching()))
-		}
-		return h
-	}
-	hc := history(dist.BackendCoroutine)
-	hf := history(dist.BackendFlat)
-	for i := range hc {
-		if hc[i] != hf[i] {
-			t.Fatalf("backends diverge at step %d:\n  coro %s\n  flat %s", i, hc[i], hf[i])
-		}
 	}
 }
 

@@ -173,47 +173,6 @@ func TestRecoveryRandomFaultsHeal(t *testing.T) {
 	}
 }
 
-// TestRecoveryBackendsAgree runs one faulty history on both backends:
-// matchings, health and fault counts must coincide step for step.
-func TestRecoveryBackendsAgree(t *testing.T) {
-	history := func(be dist.Backend) []string {
-		g := gen.BipartiteGnp(rng.New(55), 8, 8, 0.3)
-		mt := New(g, Options{K: 2, Seed: 5, StartEmpty: true, AuditEvery: 3, Backend: be})
-		defer mt.Close()
-		r := rng.New(66)
-		var h []string
-		for step := 0; step < 8; step++ {
-			mt.Apply(randomBatch(r, mt, 3))
-		}
-		mt.InjectFaults(dist.RandomFaultPlan(21, g.N(), g.M(), dist.FaultProfile{
-			Rounds: 5, Crashes: 1, Drops: 2, Panics: 2,
-		}))
-		for step := 0; step < 8; step++ {
-			rep := mt.Apply(randomBatch(r, mt, 3))
-			h = append(h, mt.Health().String(), matchKey(g, mt.Matching()))
-			if rep.Faults > 0 {
-				h = append(h, "fault")
-			}
-		}
-		mt.InjectFaults(nil)
-		for step := 0; step < 6; step++ {
-			mt.Apply(nil)
-			h = append(h, mt.Health().String(), matchKey(g, mt.Matching()))
-		}
-		return h
-	}
-	hc := history(dist.BackendCoroutine)
-	hf := history(dist.BackendFlat)
-	if len(hc) != len(hf) {
-		t.Fatalf("history lengths diverge: %d vs %d", len(hc), len(hf))
-	}
-	for i := range hc {
-		if hc[i] != hf[i] {
-			t.Fatalf("histories diverge at %d: %q vs %q", i, hc[i], hf[i])
-		}
-	}
-}
-
 // TestRecoveryCrashNode pins the serving-layer crash entry point: every
 // live incident edge leaves in one batch and the matching re-routes.
 func TestRecoveryCrashNode(t *testing.T) {

@@ -3,7 +3,7 @@ package israeliitai
 // Batch execution: many seeds of the protocol on one graph through a
 // shared dist.Runner, amortizing engine setup (mailbox slabs, worker
 // pool, dispatch goroutines) and machine allocation across runs. With
-// the flat backend's per-round cost down to tens of nanoseconds, that
+// the flat machine's per-round cost down to tens of nanoseconds, that
 // setup dominates short runs — exactly the shape of the experiment
 // seed sweeps (E13) and the per-slot switch schedules.
 
@@ -15,9 +15,7 @@ import (
 // RunSeeds runs the protocol once per seed on g, reusing one engine and
 // one per-node machine slab for the whole sweep. Each run is
 // bit-identical to Run/RunWithConfig with the same cfg and seed
-// (TestRunSeedsMatchesRun). cfg.Seed is ignored. On the coroutine
-// backend (cfg.Backend) the engine is still reused; only the flat
-// backend also recycles machines.
+// (TestRunSeedsMatchesRun). cfg.Seed is ignored.
 func RunSeeds(g *graph.Graph, cfg dist.Config, seeds []uint64, oracle bool) ([]*graph.Matching, []*dist.Stats) {
 	iters := Budget(g.N())
 	matchings := make([]*graph.Matching, len(seeds))
@@ -27,23 +25,7 @@ func RunSeeds(g *graph.Graph, cfg dist.Config, seeds []uint64, oracle bool) ([]*
 	r := dist.NewRunner(g, cfg)
 	defer r.Close()
 
-	if !cfg.Backend.UseFlat() {
-		program := func(nd *dist.Node) {
-			st := NewState(nd)
-			st.RunClass(nd, everyPort, iters, oracle)
-			matchedEdge[nd.ID()] = -1
-			if st.MatchedPort >= 0 {
-				matchedEdge[nd.ID()] = int32(nd.EdgeID(st.MatchedPort))
-			}
-		}
-		for i, seed := range seeds {
-			stats[i] = r.Run(seed, program)
-			matchings[i] = graph.CollectMatching(g, matchedEdge)
-		}
-		return matchings, stats
-	}
-
-	// Flat: one machine and one State per node, Reset between runs.
+	// One machine and one State per node, Reset between runs.
 	machines := make([]machine, g.N())
 	states := make([]*State, g.N())
 	factory := func(nd *dist.Node) dist.RoundProgram {

@@ -1,6 +1,6 @@
 package israeliitai
 
-// Flat-backend (dist.RoundProgram) form of the protocol. ClassMachine is
+// Flat (dist.RoundProgram) form of the protocol. ClassMachine is
 // the state-machine transliteration of State.RunClass, segment for
 // segment: the same RNG draws in the same order, the same sends, the same
 // barrier structure, so a flat run is bit-identical — matching, Stats,
@@ -188,8 +188,8 @@ var _ dist.Machine = (*ClassMachine)(nil)
 // everyPort is the whole-graph eligibility used by the plain protocol.
 func everyPort(int) bool { return true }
 
-// machine is the whole-protocol RoundProgram behind Run/RunBudget on the
-// flat backend: one class over every port, then record the matched edge.
+// machine is the whole-protocol RoundProgram behind Run/RunBudget: one
+// class over every port, then record the matched edge.
 type machine struct {
 	cm          ClassMachine
 	matchedEdge []int32
@@ -218,7 +218,7 @@ func (m *machine) OnRound(nd *dist.Node, in []dist.Incoming) bool {
 	return true
 }
 
-// runFlat is the flat-backend implementation of RunWithConfig/RunBudget.
+// runFlat is the flat implementation of RunWithConfig/RunBudget.
 func runFlat(g *graph.Graph, cfg dist.Config, iters int, oracle bool) (*graph.Matching, *dist.Stats) {
 	matchedEdge := make([]int32, g.N())
 	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {

@@ -10,7 +10,7 @@ import (
 	"distmatch/internal/rng"
 )
 
-// diffTopologies is the cross-backend test bed: random graphs plus the
+// diffTopologies is the differential test bed: random graphs plus the
 // pathological shapes (star: one hot responder; complete: dense proposal
 // storms; path/cycle: long sparse chains; lone edge and edgeless: trivia).
 func diffTopologies(t *testing.T) map[string]*graph.Graph {
@@ -55,16 +55,16 @@ func matchingsEqual(t *testing.T, label string, g *graph.Graph, a, b *graph.Matc
 	}
 }
 
-// TestFlatMatchesCoroutine is the backend equivalence proof for
+// TestFlatMatchesCoroutine is the flat-vs-reference equivalence proof for
 // Israeli–Itai: same seed ⇒ bit-identical matching and identical Stats on
 // every topology, in both termination modes, at multiple worker counts.
 func TestFlatMatchesCoroutine(t *testing.T) {
 	for name, g := range diffTopologies(t) {
 		for _, oracle := range []bool{true, false} {
-			cfg := dist.Config{Seed: 99, Profile: true, Backend: dist.BackendCoroutine}
-			cm, cst := RunWithConfig(g, cfg, oracle)
+			cfg := dist.Config{Seed: 99, Profile: true}
+			cm, cst := runCoroutine(g, cfg, Budget(g.N()), oracle)
 			for _, workers := range []int{1, 2, 3, 8} {
-				cfg := dist.Config{Seed: 99, Profile: true, Workers: workers, Backend: dist.BackendFlat}
+				cfg := dist.Config{Seed: 99, Profile: true, Workers: workers}
 				fm, fst := RunWithConfig(g, cfg, oracle)
 				label := name
 				if oracle {
@@ -84,30 +84,30 @@ func TestFlatMatchesCoroutine(t *testing.T) {
 func TestFlatRunBudgetMatches(t *testing.T) {
 	g := gen.RandomTree(rng.New(21), 300)
 	for _, iters := range []int{1, 2, 5} {
-		cm, cst := runBackend(g, dist.Config{Seed: 5, Backend: dist.BackendCoroutine}, iters, false)
-		fm, fst := runBackend(g, dist.Config{Seed: 5, Backend: dist.BackendFlat, Workers: 3}, iters, false)
+		cm, cst := runCoroutine(g, dist.Config{Seed: 5}, iters, false)
+		fm, fst := runFlat(g, dist.Config{Seed: 5, Workers: 3}, iters, false)
 		matchingsEqual(t, "tree", g, cm, fm)
 		statsEqual(t, "tree", cst, fst)
 	}
 }
 
-// TestFlatDefaultBackend pins the auto-selection contract: the default
-// config runs flat, and it is indistinguishable from an explicit request.
+// TestFlatDefaultBackend pins that the exported entry points are the flat
+// form: Run is indistinguishable from a direct runFlat call.
 func TestFlatDefaultBackend(t *testing.T) {
 	g := gen.Gnp(rng.New(31), 120, 0.05)
 	am, ast := Run(g, 17, true)
-	fm, fst := RunWithConfig(g, dist.Config{Seed: 17, Backend: dist.BackendFlat}, true)
-	matchingsEqual(t, "auto-vs-flat", g, am, fm)
-	statsEqual(t, "auto-vs-flat", ast, fst)
+	fm, fst := runFlat(g, dist.Config{Seed: 17}, Budget(g.N()), true)
+	matchingsEqual(t, "run-vs-flat", g, am, fm)
+	statsEqual(t, "run-vs-flat", ast, fst)
 }
 
 // TestFlatDeterministicAcrossWorkers re-proves the engine determinism
-// guarantee on the flat backend with a real protocol.
+// guarantee on the flat form with a real protocol.
 func TestFlatDeterministicAcrossWorkers(t *testing.T) {
 	g := gen.Gnp(rng.New(41), 257, 0.03)
-	base, bst := RunWithConfig(g, dist.Config{Seed: 3, Backend: dist.BackendFlat, Workers: 1}, true)
+	base, bst := RunWithConfig(g, dist.Config{Seed: 3, Workers: 1}, true)
 	for _, workers := range []int{2, 5, 64} {
-		m, st := RunWithConfig(g, dist.Config{Seed: 3, Backend: dist.BackendFlat, Workers: workers}, true)
+		m, st := RunWithConfig(g, dist.Config{Seed: 3, Workers: workers}, true)
 		matchingsEqual(t, "workers", g, base, m)
 		statsEqual(t, "workers", bst, st)
 	}

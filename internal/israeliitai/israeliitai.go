@@ -162,21 +162,18 @@ func Run(g *graph.Graph, seed uint64, oracle bool) (*graph.Matching, *dist.Stats
 // the paper's introduction cites: on trees (and other sparse graphs) a
 // constant budget already yields a (½−ε)-approximate MCM (experiment E12).
 func RunBudget(g *graph.Graph, seed uint64, iters int) (*graph.Matching, *dist.Stats) {
-	return runBackend(g, dist.Config{Seed: seed}, iters, false)
+	return runFlat(g, dist.Config{Seed: seed}, iters, false)
 }
 
-// RunWithConfig is Run with full engine configuration (profiling, limits,
-// backend selection — cfg.Backend picks between the bit-identical
-// coroutine and flat executions; auto means flat).
+// RunWithConfig is Run with full engine configuration (profiling,
+// limits). It executes the flat form (flat.go).
 func RunWithConfig(g *graph.Graph, cfg dist.Config, oracle bool) (*graph.Matching, *dist.Stats) {
-	return runBackend(g, cfg, Budget(g.N()), oracle)
+	return runFlat(g, cfg, Budget(g.N()), oracle)
 }
 
-// runBackend dispatches one protocol run to the backend cfg requests.
-func runBackend(g *graph.Graph, cfg dist.Config, iters int, oracle bool) (*graph.Matching, *dist.Stats) {
-	if cfg.Backend.UseFlat() {
-		return runFlat(g, cfg, iters, oracle)
-	}
+// runCoroutine is the blocking form of runFlat: the readable reference
+// the flat machine is pinned bit-identical to (TestFlatMatchesCoroutine).
+func runCoroutine(g *graph.Graph, cfg dist.Config, iters int, oracle bool) (*graph.Matching, *dist.Stats) {
 	matchedEdge := make([]int32, g.N())
 	stats := dist.Run(g, cfg, func(nd *dist.Node) {
 		st := NewState(nd)

@@ -1,6 +1,6 @@
 package lpr
 
-// Flat-backend (dist.Machine) form of the weight-class protocol — a
+// Flat (dist.Machine) form of the weight-class protocol — a
 // segment-for-segment transliteration of RunLocal/RunLocalWeights: one
 // StepMax-equivalent barrier for the global maximum weight, then one
 // israeliitai.ClassMachine per weight class, heaviest to lightest, over a
@@ -123,7 +123,7 @@ func (m *WeightsMachine) startClasses(nd *dist.Node) (done bool) {
 	return true
 }
 
-// runFlat is the flat-backend implementation behind Run/RunWithConfig: a
+// runFlat is the flat implementation behind Run/RunWithConfig: a
 // WeightsMachine over the graph's own edge weights, wrapped as the whole
 // node program.
 func runFlat(g *graph.Graph, cfg dist.Config, eps float64, oracle bool) (*graph.Matching, *dist.Stats) {

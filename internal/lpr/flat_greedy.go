@@ -1,6 +1,6 @@
 package lpr
 
-// Flat-backend (dist.RoundProgram) form of LocalGreedy — the
+// Flat (dist.RoundProgram) form of LocalGreedy — the
 // locally-heaviest-edge protocol whose Θ(n)-round pathology (E7's
 // adversarial chain) is exactly where per-node-round cost dominates.
 // Segment-for-segment transliteration of the blocking program in lpr.go;
@@ -141,7 +141,7 @@ func (m *greedyMachine) endIteration(nd *dist.Node) (again bool) {
 	return true
 }
 
-// runFlatGreedy is the flat-backend implementation behind
+// runFlatGreedy is the flat implementation behind
 // LocalGreedy/LocalGreedyWithConfig.
 func runFlatGreedy(g *graph.Graph, cfg dist.Config, maxIters int, oracle bool) (*graph.Matching, *dist.Stats) {
 	matchedEdge := make([]int32, g.N())

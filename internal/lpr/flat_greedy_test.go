@@ -10,7 +10,7 @@ import (
 	"distmatch/internal/rng"
 )
 
-// TestFlatGreedyMatchesCoroutine is the backend equivalence proof for
+// TestFlatGreedyMatchesCoroutine is the flat-vs-reference equivalence proof for
 // LocalGreedy, including its Θ(n)-round pathology: same seed ⇒
 // bit-identical matching and identical Stats across topologies,
 // termination modes and worker counts.
@@ -33,11 +33,11 @@ func TestFlatGreedyMatchesCoroutine(t *testing.T) {
 			{"budget0", 0, false}, // zero iterations: no rounds at all
 		} {
 			label := name + "/" + mode.label
-			cm, cst := LocalGreedyWithConfig(g,
-				dist.Config{Seed: 19, Profile: true, Backend: dist.BackendCoroutine}, mode.maxIters, mode.oracle)
+			cm, cst := localGreedyCoroutine(g,
+				dist.Config{Seed: 19, Profile: true}, mode.maxIters, mode.oracle)
 			for _, workers := range []int{1, 3, 8} {
 				fm, fst := LocalGreedyWithConfig(g,
-					dist.Config{Seed: 19, Profile: true, Workers: workers, Backend: dist.BackendFlat}, mode.maxIters, mode.oracle)
+					dist.Config{Seed: 19, Profile: true, Workers: workers}, mode.maxIters, mode.oracle)
 				if !reflect.DeepEqual(cm.Edges(g), fm.Edges(g)) {
 					t.Fatalf("%s: matchings differ: %v vs %v", label, cm.Edges(g), fm.Edges(g))
 				}
@@ -51,7 +51,7 @@ func TestFlatGreedyMatchesCoroutine(t *testing.T) {
 // flat run in its own right.
 func TestFlatGreedyHalfApprox(t *testing.T) {
 	g := gen.UniformWeights(rng.New(44), gen.Gnm(rng.New(45), 80, 240), 1, 50)
-	m, _ := LocalGreedyWithConfig(g, dist.Config{Seed: 7, Backend: dist.BackendFlat}, 0, true)
+	m, _ := LocalGreedyWithConfig(g, dist.Config{Seed: 7}, 0, true)
 	if err := m.Verify(g); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func statsEqual(t *testing.T, label string, coro, flat *dist.Stats) {
 	}
 }
 
-// TestFlatMatchesCoroutine is the backend equivalence proof for the
+// TestFlatMatchesCoroutine is the flat-vs-reference equivalence proof for the
 // weight-class (¼−ε)-MWM: same seed ⇒ bit-identical matching and
 // identical Stats on random, adversarial-chain and degenerate topologies,
 // both termination modes, several worker counts.
@@ -37,9 +37,9 @@ func TestFlatMatchesCoroutine(t *testing.T) {
 	}
 	for name, g := range tops {
 		for _, oracle := range []bool{true, false} {
-			cm, cst := RunWithConfig(g, dist.Config{Seed: 88, Profile: true, Backend: dist.BackendCoroutine}, 0.1, oracle)
+			cm, cst := runCoroutine(g, dist.Config{Seed: 88, Profile: true}, 0.1, oracle)
 			for _, workers := range []int{1, 3, 8} {
-				fm, fst := RunWithConfig(g, dist.Config{Seed: 88, Profile: true, Workers: workers, Backend: dist.BackendFlat}, 0.1, oracle)
+				fm, fst := RunWithConfig(g, dist.Config{Seed: 88, Profile: true, Workers: workers}, 0.1, oracle)
 				label := name
 				if oracle {
 					label += "/oracle"
@@ -59,7 +59,7 @@ func TestFlatMatchesCoroutine(t *testing.T) {
 // run in its own right.
 func TestFlatGuaranteeHolds(t *testing.T) {
 	g := gen.UniformWeights(rng.New(81), gen.Gnm(rng.New(82), 120, 360), 1, 50)
-	m, _ := RunWithConfig(g, dist.Config{Seed: 4, Backend: dist.BackendFlat}, 0.05, true)
+	m, _ := RunWithConfig(g, dist.Config{Seed: 4}, 0.05, true)
 	if err := m.Verify(g); err != nil {
 		t.Fatal(err)
 	}

@@ -46,15 +46,19 @@ func Run(g *graph.Graph, eps float64, seed uint64, oracle bool) (*graph.Matching
 	return RunWithConfig(g, dist.Config{Seed: seed}, eps, oracle)
 }
 
-// RunWithConfig is Run with full engine configuration; cfg.Backend picks
-// between the bit-identical coroutine and flat executions (auto = flat).
+// RunWithConfig is Run with full engine configuration. It executes the
+// flat form (flat.go).
 func RunWithConfig(g *graph.Graph, cfg dist.Config, eps float64, oracle bool) (*graph.Matching, *dist.Stats) {
 	if eps <= 0 || eps >= 1 {
 		panic("lpr: need 0 < eps < 1")
 	}
-	if cfg.Backend.UseFlat() {
-		return runFlat(g, cfg, eps, oracle)
-	}
+	return runFlat(g, cfg, eps, oracle)
+}
+
+// runCoroutine is the blocking form of RunWithConfig: the readable
+// reference the flat machine is pinned bit-identical to
+// (TestFlatMatchesCoroutine).
+func runCoroutine(g *graph.Graph, cfg dist.Config, eps float64, oracle bool) (*graph.Matching, *dist.Stats) {
 	matchedEdge := make([]int32, g.N())
 	stats := dist.Run(g, cfg, func(nd *dist.Node) {
 		matchedEdge[nd.ID()] = int32(RunLocal(nd, eps, oracle))
@@ -131,12 +135,15 @@ func LocalGreedy(g *graph.Graph, seed uint64, maxIters int, oracle bool) (*graph
 }
 
 // LocalGreedyWithConfig is LocalGreedy with full engine configuration
-// (profiling, limits, backend selection — cfg.Backend picks between the
-// bit-identical coroutine and flat executions; auto means flat).
+// (profiling, limits). It executes the flat form (flat_greedy.go).
 func LocalGreedyWithConfig(g *graph.Graph, cfg dist.Config, maxIters int, oracle bool) (*graph.Matching, *dist.Stats) {
-	if cfg.Backend.UseFlat() {
-		return runFlatGreedy(g, cfg, maxIters, oracle)
-	}
+	return runFlatGreedy(g, cfg, maxIters, oracle)
+}
+
+// localGreedyCoroutine is the blocking form of LocalGreedyWithConfig: the
+// readable reference the flat machine is pinned bit-identical to
+// (TestFlatGreedyMatchesCoroutine).
+func localGreedyCoroutine(g *graph.Graph, cfg dist.Config, maxIters int, oracle bool) (*graph.Matching, *dist.Stats) {
 	matchedEdge := make([]int32, g.N())
 	stats := dist.Run(g, cfg, func(nd *dist.Node) {
 		matchedEdge[nd.ID()] = -1

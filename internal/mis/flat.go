@@ -1,6 +1,6 @@
 package mis
 
-// Flat-backend (dist.RoundProgram) form of Luby's algorithm — a
+// Flat (dist.RoundProgram) form of Luby's algorithm — a
 // segment-for-segment transliteration of the blocking program in Run:
 // identical RNG draws (one Float64 per iteration regardless of activity),
 // identical sends, identical barrier structure, hence bit-identical output
@@ -129,7 +129,7 @@ func (m *machine) OnRound(nd *dist.Node, in []dist.Incoming) bool {
 	panic("mis: OnRound on a completed machine")
 }
 
-// runFlat is the flat-backend implementation behind Run/RunWithConfig.
+// runFlat is the flat implementation behind Run/RunWithConfig.
 func runFlat(g *graph.Graph, cfg dist.Config, oracle bool) ([]bool, *dist.Stats) {
 	inMIS := make([]bool, g.N())
 	iters := Budget(g.N())

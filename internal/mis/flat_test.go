@@ -22,7 +22,7 @@ func statsEqual(t *testing.T, label string, coro, flat *dist.Stats) {
 	}
 }
 
-// TestFlatMatchesCoroutine is the backend equivalence proof for Luby's
+// TestFlatMatchesCoroutine is the flat-vs-reference equivalence proof for Luby's
 // MIS: same seed ⇒ identical membership vector and identical Stats on
 // random and pathological topologies, both termination modes, several
 // worker counts.
@@ -38,9 +38,9 @@ func TestFlatMatchesCoroutine(t *testing.T) {
 	}
 	for name, g := range tops {
 		for _, oracle := range []bool{true, false} {
-			cm, cst := RunWithConfig(g, dist.Config{Seed: 77, Profile: true, Backend: dist.BackendCoroutine}, oracle)
+			cm, cst := runCoroutine(g, dist.Config{Seed: 77, Profile: true}, oracle)
 			for _, workers := range []int{1, 3, 8} {
-				fm, fst := RunWithConfig(g, dist.Config{Seed: 77, Profile: true, Workers: workers, Backend: dist.BackendFlat}, oracle)
+				fm, fst := RunWithConfig(g, dist.Config{Seed: 77, Profile: true, Workers: workers}, oracle)
 				label := name
 				if oracle {
 					label += "/oracle"
@@ -60,7 +60,7 @@ func TestFlatMatchesCoroutine(t *testing.T) {
 // own right (not just equal to the coroutine one).
 func TestFlatIsMaximal(t *testing.T) {
 	g := gen.Gnp(rng.New(61), 200, 0.05)
-	member, _ := RunWithConfig(g, dist.Config{Seed: 9, Backend: dist.BackendFlat}, true)
+	member, _ := RunWithConfig(g, dist.Config{Seed: 9}, true)
 	if msg := Verify(g, member); msg != "" {
 		t.Fatalf("flat MIS invalid: %s", msg)
 	}

@@ -48,12 +48,16 @@ func Run(g *graph.Graph, seed uint64, oracle bool) ([]bool, *dist.Stats) {
 	return RunWithConfig(g, dist.Config{Seed: seed}, oracle)
 }
 
-// RunWithConfig is Run with full engine configuration; cfg.Backend picks
-// between the bit-identical coroutine and flat executions (auto = flat).
+// RunWithConfig is Run with full engine configuration. It executes the
+// flat form (flat.go).
 func RunWithConfig(g *graph.Graph, cfg dist.Config, oracle bool) ([]bool, *dist.Stats) {
-	if cfg.Backend.UseFlat() {
-		return runFlat(g, cfg, oracle)
-	}
+	return runFlat(g, cfg, oracle)
+}
+
+// runCoroutine is the blocking form of RunWithConfig: the readable
+// reference the flat machine is pinned bit-identical to
+// (TestFlatMatchesCoroutine).
+func runCoroutine(g *graph.Graph, cfg dist.Config, oracle bool) ([]bool, *dist.Stats) {
 	inMIS := make([]bool, g.N())
 	stats := dist.Run(g, cfg, func(nd *dist.Node) {
 		r := nd.Rand()

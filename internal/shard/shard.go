@@ -61,9 +61,8 @@ type Options struct {
 	// Equivalent); Serial exists as that differential oracle and as the
 	// single-threaded baseline the serving benchmarks compare against.
 	Serial bool
-	// Workers and Backend configure every underlying engine.
+	// Workers configures every underlying engine.
 	Workers int
-	Backend dist.Backend
 	// Telemetry, when set, registers the pool's metric handles — per-shard
 	// up/health/backoff/restart gauges, routing and resolver counters, the
 	// pool_apply_ns and per-phase histograms — and makes the registry's
@@ -159,11 +158,11 @@ type Response struct {
 type ShardStatus struct {
 	Health        dynamic.Health
 	Up            bool
-	Restarts      int  // completed rebuilds
-	Backoff       int  // next kill's restart delay, in Apply slots
-	WakeAt        int  // slot of the pending auto-restart (down shards)
-	Nodes         int  // owned nodes
-	InternalEdges int  // owned (internal) slab edges
+	Restarts      int // completed rebuilds
+	Backoff       int // next kill's restart delay, in Apply slots
+	WakeAt        int // slot of the pending auto-restart (down shards)
+	Nodes         int // owned nodes
+	InternalEdges int // owned (internal) slab edges
 }
 
 // Stats aggregates a Pool's lifetime costs.
@@ -341,7 +340,7 @@ func New(g *graph.Graph, opts Options) *Pool {
 		localEdge: make([]int32, g.M()),
 		live:      make([]bool, g.M()),
 		gmatch:    make([]int32, g.N()),
-		resolver:  dist.NewRunner(g, dist.Config{Workers: opts.Workers, Backend: opts.Backend}),
+		resolver:  dist.NewRunner(g, dist.Config{Workers: opts.Workers}),
 		seedBase:  rng.ForkSeed(opts.Seed, 0x9e3779b97f4a7c15),
 		clients:   make(map[string]*clientRec),
 	}
@@ -351,9 +350,8 @@ func New(g *graph.Graph, opts Options) *Pool {
 	p.tel = newPoolTel(opts.Telemetry, opts.Shards)
 	p.partition()
 	p.repairer = core.NewBipartiteRepairer(p.resolver, p.gmatch, core.RepairOptions{
-		K:       opts.K,
-		Oracle:  true,
-		Backend: opts.Backend,
+		K:      opts.K,
+		Oracle: true,
 	})
 	if opts.AuditEvery > 0 {
 		p.auditIn = opts.AuditEvery
@@ -488,7 +486,6 @@ func (p *Pool) spawn(slot *shardSlot, startEmpty bool) {
 		MaxRetries: p.opts.MaxRetries,
 		StartEmpty: startEmpty,
 		Workers:    p.opts.Workers,
-		Backend:    p.opts.Backend,
 		// Histograms only — no event ring: shard applies run in parallel,
 		// so the pool derives shard events itself in its serialized
 		// phases (see Options.Telemetry).

@@ -85,7 +85,7 @@ func (k EventKind) String() string {
 // Event is one structured trace record. Slot is the emitting layer's
 // deterministic step clock (a Pool's Apply slot, a standalone
 // Maintainer's Apply count) — never wall time — so seeded schedules
-// replay with bit-identical traces across backends and worker counts.
+// replay with bit-identical traces across worker counts.
 // Shard scopes the event (-1 = pool/global). A and B are kind-specific
 // payloads; see the EventKind constants.
 type Event struct {
@@ -98,7 +98,7 @@ type Event struct {
 }
 
 // String renders the record deterministically — the form the chaos
-// harness compares across backends.
+// harness compares across replays and worker counts.
 func (e Event) String() string {
 	return fmt.Sprintf("slot=%d shard=%d %s a=%d b=%d", e.Slot, e.Shard, e.Kind, e.A, e.B)
 }

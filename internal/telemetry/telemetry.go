@@ -17,7 +17,7 @@
 //     injections, crossing-edge resolutions — stamped with the emitting
 //     layer's slot/step clock, never wall time. A seeded chaos schedule
 //     therefore replays with a bit-identical event stream across engine
-//     backends and worker counts (chaos.RunShards asserts exactly this),
+//     worker counts (chaos.RunShards asserts exactly this),
 //     which makes the trace itself a correctness artifact, not just a
 //     debugging aid.
 //

@@ -1,49 +1,48 @@
 #!/usr/bin/env bash
-# Records the backend and batching comparisons into BENCH_pr9.json:
-# node-rounds/s per protocol per backend with the flat/coro speedup —
-# now including the last two coroutine-only algorithms ported to flat
-# form in PR 7 (the Lemma 3.7 strict-CONGEST chunk pipeline and the
-# LOCAL-model generic algorithm) — plus the multi-worker scaling sweep
-# (Config.Workers in {1,2,4,8,16}), the new workers × topology grid
-# (4-regular / dense G(n,m) / irregular G(n,p) / star hub at workers
-# {1,2,4,8}), the batch-runner amortization pair, the dynamic-maintainer
-# switch pair, the PR-5 active-set region-repair pair — and the PR-8
-# sharded-serving group: one churn slot through the 4-shard
-# fault-tolerant Pool vs the same stream through one unsharded
-# Maintainer (the price of the failure-domain boundary), plus the
-# flagged query path — and the PR-9 telemetry_overhead group: the flat
-# engine sweep and the pool apply path rerun with a live telemetry
-# registry (counters, histograms, per-shard gauges, event ring), pricing
-# the instrumentation against the <2% acceptance bound. Extends the
-# BENCH trajectory (BENCH_baseline.json, BENCH_pr2.json, BENCH_pr3.json,
-# BENCH_pr4.json, BENCH_pr5.json, BENCH_pr7.json, BENCH_pr8.json).
+# Records the engine and serving micro-benchmarks into one BENCH file:
+# node-rounds/s of the two engine entry points (dist.Run and
+# dist.RunFlat) and of every protocol's exported entry point (Israeli–Itai,
+# MIS, the LPR weight classes, LocalGreedy, Algorithms 3-5, the Lemma 3.7
+# strict-CONGEST pipeline and the LOCAL-model generic algorithm), the
+# Config.Workers scaling sweep, the workers × topology grid (4-regular /
+# dense G(n,m) / irregular G(n,p) / star hub at workers {1,2,4,8}), the
+# batch-runner amortization pair, the dynamic-maintainer switch and
+# active-set region-repair pairs, the sharded-serving group (one churn
+# slot through the 4-shard Pool — pipelined, serial and concurrent —
+# vs one unsharded Maintainer, plus the flagged query path) and the
+# telemetry-overhead group (the flat engine sweep, the Maintainer slot
+# and the pool slot rerun with a live telemetry registry).
 #
-# The recording host is a single shared vCPU whose throughput swings by
-# ±25% over minutes, so each benchmark runs COUNT times and the maximum
-# rate is recorded: the max estimates uncontended-hardware throughput,
-# which is the number comparable across PRs. Raise COUNT (and BENCHTIME)
-# for stabler numbers.
-# Run from the repository root: ./scripts/bench_compare.sh
+# Each benchmark runs COUNT times and the best rate is recorded: on a
+# shared host whose throughput swings over minutes the best run
+# estimates uncontended-hardware throughput. Raise COUNT (and BENCHTIME)
+# for stabler numbers, and record the host with the numbers.
+#
+# Run from the repository root: ./scripts/bench_compare.sh OUT.json
 set -euo pipefail
 
+if [ $# -ne 1 ]; then
+	echo "usage: $0 OUT.json" >&2
+	exit 2
+fi
+out=$(realpath -m "$1")
 cd "$(dirname "$0")/.."
-out=BENCH_pr9.json
 benchtime=${BENCHTIME:-1s}
 count=${COUNT:-3}
 
-# The pairs and the sweeps run as separate invocations: a "/" in a
+# The groups and the sweeps run as separate invocations: a "/" in a
 # -bench alternation would be treated as a sub-benchmark separator.
 # The amortization/maintenance pairs get a process of their own — the
-# LOCAL-model generic pair retires hundreds of MB of map garbage, and
-# sharing its heap skews the GC pacing of whatever runs next.
+# LOCAL-model generic workload retires hundreds of MB of map garbage,
+# and sharing its heap skews the GC pacing of whatever runs next.
 raw=$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
-	-bench '^(BenchmarkEngineRound|BenchmarkEngineRoundFlat|BenchmarkAlgIsraeliItai|BenchmarkAlgIsraeliItaiCoro|BenchmarkAlgMIS|BenchmarkAlgMISCoro|BenchmarkAlgLPRQuarter|BenchmarkAlgLPRQuarterCoro|BenchmarkAlgBipartiteMCM|BenchmarkAlgBipartiteMCMCoro|BenchmarkAlgGeneralMCM|BenchmarkAlgGeneralMCMCoro|BenchmarkAlgWeightedMWM|BenchmarkAlgWeightedMWMCoro|BenchmarkAlgLocalGreedy|BenchmarkAlgLocalGreedyCoro|BenchmarkAlgBipartiteStrict|BenchmarkAlgBipartiteStrictCoro|BenchmarkAlgGenericMCM|BenchmarkAlgGenericMCMCoro)$' \
+	-bench '^(BenchmarkEngineRound|BenchmarkEngineRoundFlat|BenchmarkAlgIsraeliItai|BenchmarkAlgMIS|BenchmarkAlgLPRQuarter|BenchmarkAlgBipartiteMCM|BenchmarkAlgGeneralMCM|BenchmarkAlgWeightedMWM|BenchmarkAlgLocalGreedy|BenchmarkAlgBipartiteStrict|BenchmarkAlgGenericMCM)$' \
 	. 2>&1)
 raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
 	-bench '^(BenchmarkRunnerShortFresh|BenchmarkRunnerShortReuse|BenchmarkDynamicSwitchIncremental|BenchmarkDynamicSwitchRecompute|BenchmarkDynamicRegionRepairActive|BenchmarkDynamicRegionRepairFullSweep)$' \
 	. 2>&1)
 raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
-	-bench '^(BenchmarkShardServingPoolApply|BenchmarkShardServingSingleApply|BenchmarkShardServingQuery)$' \
+	-bench '^(BenchmarkShardServingPoolApply|BenchmarkShardServingPoolApplySerial|BenchmarkShardServingPoolApplyConcurrent|BenchmarkShardServingSingleApply|BenchmarkShardServingQuery)$' \
 	. 2>&1)
 raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
 	-bench '^(BenchmarkEngineRoundFlatTelemetry|BenchmarkShardServingSingleApplyTelemetry|BenchmarkShardServingPoolApplyTelemetry)$' \
@@ -63,8 +62,8 @@ raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
 	echo '  "cpu": "'"$(printf '%s\n' "$raw" | sed -n 's/^cpu: //p' | head -1)"'",'
 	echo '  "benchtime": "'"$benchtime"'",'
 	echo '  "count": '"$count"','
-	echo '  "metric": "node-rounds/s (pairs/scaling/topo), ns/slot (dynamic); best of count runs",'
-	echo '  "note": "coroutine vs flat execution backend; bit-identical outputs (differential suites in internal/core, internal/lpr, internal/israeliitai, internal/mis). BipartiteStrict (Lemma 3.7 B-bit chunk pipelining, B=8) and GenericMCM (LOCAL-model floods) are the PR-7 flat ports: the strict pair is sub-round dense so the backend tax dominates; the generic pair is dominated by per-message map merging, so the backends tie — an honest bound on what backend work can buy. scaling sweeps Config.Workers on both backends; topo_scaling sweeps the flat backend across message patterns (uniform 4-regular, dense gnm16, irregular gnp8, star hub). The host is a single vCPU: one worker is the knee, and every multi-worker point prices the staged-mode delivery pass plus dispatch overhead rather than real parallelism — except the star row, where the hub cost is serial in any schedule. runner_short compares fresh-engine vs dist.Runner setup amortization on an 8-round 256-node run; PR 7 closed this gap (2.9x in BENCH_pr5 to ~1x) by recycling engine slabs through a process-wide pool (see internal/dist/slabs.go). dynamic_switch and dynamic_region are the PR-4/PR-5 maintenance pairs, unchanged. shard_serving is the PR-8 group: one 4-toggle churn slot on a 512+512 slab through the 4-shard fault-tolerant Pool (routing, 4 parallel shard engines, crossing resolution, periodic conflict audit) vs the identical stream through one unsharded Maintainer; overhead_x = pool/single is the price of the failure-domain boundary, and query_ns prices one flagged read off the pool snapshot cache. telemetry_overhead is the PR-9 group: the flat engine sweep, the unsharded Maintainer slot and the pool apply slot rerun with a live telemetry registry installed (engine: process-wide counters + sweep histogram; maintainer: apply/repair/audit histograms + event ring; pool: all of that plus per-shard gauges and pool events). engine_overhead_x = bare/instrumented node-rounds/s; maintainer_overhead_x and pool_overhead_x = instrumented/bare ns per slot; all expected within noise of 1.0 and bounded by the <2% acceptance criterion.",'
+	echo '  "metric": "node-rounds/s (engine/protocols/scaling/topo), ns/slot (dynamic, shard_serving); best of count runs",'
+	echo '  "note": "engine times the two dist entry points on 4096 nodes exchanging one signal per edge per round of a 4-regular graph: run is dist.Run (blocking programs on coroutines), run_flat is dist.RunFlat (RoundProgram state machines). protocols times each exported algorithm entry point, all of which execute the flat form. scaling sweeps Config.Workers for both engine entry points; topo_scaling sweeps RunFlat across message patterns. runner_short compares fresh-engine vs dist.Runner setup on an 8-round 256-node run. dynamic_switch and dynamic_region are the maintenance pairs. shard_serving: one 4-toggle churn slot on a 512+512 slab through the 4-shard Pool (pipelined, serial, concurrent clients) vs the same stream through one unsharded Maintainer; overhead_x = pool/single, query_ns prices one flagged read. telemetry_overhead reruns the flat engine sweep, the Maintainer slot and the pool slot with a live registry; overhead_x values are expected within noise of 1.0.",'
 	printf '%s\n' "$raw" | awk '
 		/^Benchmark/ {
 			name=$1; sub(/-[0-9]+$/, "", name)
@@ -76,28 +75,13 @@ raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
 			if (ns[name] == 0 || (nspop > 0 && nspop < ns[name])) ns[name]=nspop
 		}
 		END {
-			pairs["EngineRound"]     = "BenchmarkEngineRound BenchmarkEngineRoundFlat"
-			pairs["IsraeliItai"]     = "BenchmarkAlgIsraeliItaiCoro BenchmarkAlgIsraeliItai"
-			pairs["MIS"]             = "BenchmarkAlgMISCoro BenchmarkAlgMIS"
-			pairs["LPRQuarter"]      = "BenchmarkAlgLPRQuarterCoro BenchmarkAlgLPRQuarter"
-			pairs["BipartiteMCM"]    = "BenchmarkAlgBipartiteMCMCoro BenchmarkAlgBipartiteMCM"
-			pairs["BipartiteStrict"] = "BenchmarkAlgBipartiteStrictCoro BenchmarkAlgBipartiteStrict"
-			pairs["GeneralMCM"]      = "BenchmarkAlgGeneralMCMCoro BenchmarkAlgGeneralMCM"
-			pairs["GenericMCM"]      = "BenchmarkAlgGenericMCMCoro BenchmarkAlgGenericMCM"
-			pairs["WeightedMWM"]     = "BenchmarkAlgWeightedMWMCoro BenchmarkAlgWeightedMWM"
-			pairs["LocalGreedy"]     = "BenchmarkAlgLocalGreedyCoro BenchmarkAlgLocalGreedy"
-			order[1]="EngineRound"; order[2]="IsraeliItai"; order[3]="MIS"; order[4]="LPRQuarter"
-			order[5]="BipartiteMCM"; order[6]="BipartiteStrict"; order[7]="GeneralMCM"
-			order[8]="GenericMCM"; order[9]="WeightedMWM"; order[10]="LocalGreedy"
-			np=10
-			printf "  \"pairs\": [\n"
+			printf "  \"engine\": {\"run\": %.0f, \"run_flat\": %.0f},\n", \
+				rates["BenchmarkEngineRound"]+0, rates["BenchmarkEngineRoundFlat"]+0
+			np=split("IsraeliItai MIS LPRQuarter BipartiteMCM BipartiteStrict GeneralMCM GenericMCM WeightedMWM LocalGreedy", order, " ")
+			printf "  \"protocols\": [\n"
 			for (k=1; k<=np; k++) {
-				p=order[k]
-				split(pairs[p], b, " ")
-				coro=rates[b[1]]+0; flat=rates[b[2]]+0
-				speedup = (coro > 0) ? flat/coro : 0
-				printf "    {\"name\": \"%s\", \"coro\": %.0f, \"flat\": %.0f, \"speedup\": %.2f}%s\n", \
-					p, coro, flat, speedup, (k<np ? "," : "")
+				printf "    {\"name\": \"%s\", \"node_rounds_per_s\": %.0f}%s\n", \
+					order[k], rates["BenchmarkAlg" order[k]]+0, (k<np ? "," : "")
 			}
 			printf "  ],\n"
 			fresh=rates["BenchmarkRunnerShortFresh"]+0
@@ -129,10 +113,10 @@ raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
 			nw=split("1 2 4 8 16", ws, " ")
 			for (k=1; k<=nw; k++) {
 				w=ws[k]
-				coro=rates["BenchmarkEngineRoundWorkers/w" w]+0
+				run=rates["BenchmarkEngineRoundWorkers/w" w]+0
 				flat=rates["BenchmarkEngineRoundFlatWorkers/w" w]+0
-				printf "    {\"workers\": %s, \"coro\": %.0f, \"flat\": %.0f}%s\n", \
-					w, coro, flat, (k<nw ? "," : "")
+				printf "    {\"workers\": %s, \"run\": %.0f, \"run_flat\": %.0f}%s\n", \
+					w, run, flat, (k<nw ? "," : "")
 			}
 			printf "  ],\n"
 			printf "  \"topo_scaling\": [\n"
