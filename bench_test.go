@@ -261,6 +261,33 @@ func BenchmarkAlgBipartiteMCM(b *testing.B) {
 	})
 }
 
+// BenchmarkAlgBipartiteScale runs Algorithm 3 (k=3, oracle) on degree-4
+// bipartite graphs from 2048 to 65536 nodes per side, at the default
+// worker count and at 1 and 2 explicit workers. Its ns/node-round columns
+// locate where a second engine worker starts to pay, the crossover the
+// engine's default sizing (workPerWorker in internal/dist) is taken from.
+// The largest size is the benchmark's solve graph; run it with
+// -benchtime=1x.
+func BenchmarkAlgBipartiteScale(b *testing.B) {
+	for _, half := range []int{2048, 8192, 32768, 65536} {
+		g := bipartiteWorkload(1, half)
+		for _, w := range []int{0, 1, 2} {
+			name := fmt.Sprintf("n%d/w%d", half, w)
+			if w == 0 {
+				name = fmt.Sprintf("n%d/default", half)
+			}
+			b.Run(name, func(b *testing.B) {
+				var nodeRounds int64
+				for i := 0; i < b.N; i++ {
+					_, st := core.BipartiteMCMWithConfig(g, 3, dist.Config{Seed: uint64(i), Workers: w}, true)
+					nodeRounds += st.NodeRounds
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodeRounds), "ns/node-round")
+			})
+		}
+	}
+}
+
 func generalMCMWorkload() *Graph { return gen.Gnp(rng.New(2), 256, 3.0/256) }
 
 var generalMCMOpts = core.GeneralOptions{Oracle: true, IdleStop: 30}
@@ -533,7 +560,9 @@ func BenchmarkEngineRoundFlatWorkers(b *testing.B) {
 // (star: one node owns half of every round's traffic, the worst case for
 // chunk balance since the hub's whole arc range belongs to one worker).
 // Together with the Workers sweeps above it locates the contention knee
-// recorded in BENCH_pr7.json and DESIGN.md §1.
+// recorded in BENCH_pr7.json and DESIGN.md §1. The "default" column runs
+// Workers: 0, the engine's own input-size choice, against the explicit
+// counts.
 func BenchmarkEngineRoundFlatTopo(b *testing.B) {
 	tops := []struct {
 		name string
@@ -546,8 +575,12 @@ func BenchmarkEngineRoundFlatTopo(b *testing.B) {
 	}
 	rounds := 64
 	for _, tc := range tops {
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/w%d", tc.name, w), func(b *testing.B) {
+		for _, w := range []int{0, 1, 2, 4, 8} {
+			name := fmt.Sprintf("%s/w%d", tc.name, w)
+			if w == 0 {
+				name = tc.name + "/default"
+			}
+			b.Run(name, func(b *testing.B) {
 				g := tc.g
 				for i := 0; i < b.N; i++ {
 					dist.RunFlat(g, dist.Config{Seed: uint64(i), Workers: w}, func(*dist.Node) dist.RoundProgram {

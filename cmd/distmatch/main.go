@@ -40,7 +40,7 @@ func main() {
 	budget := flag.Bool("budget", false, "use the paper's fixed w.h.p. budgets instead of the convergence oracle")
 	showOpt := flag.Bool("opt", true, "also compute the exact optimum (centralized) for the ratio")
 	profile := flag.Bool("profile", false, "print a per-round traffic profile")
-	workers := flag.Int("workers", 0, "engine worker goroutines (0 = one per core); >1 runs the staged multicore mailbox mode")
+	workers := flag.Int("workers", 0, "engine worker goroutines (0 = sized from the graph: one per 32768 nodes+arcs, at most one per core); >1 runs the staged multicore mailbox mode")
 	repeat := flag.Int("repeat", 1, "run the algorithm this many times (amortizes startup when profiling)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")

@@ -90,7 +90,6 @@ func main() {
 	auditEvery := flag.Int("audit", 8, "pool conflict-audit cadence in applies")
 	backoff := flag.Int("backoff", 1, "base auto-restart backoff of a killed shard, in applies")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout")
-	workers := flag.Int("workers", 0, "engine worker goroutines (0 = one per core)")
 	debugaddr := flag.String("debugaddr", "", "separate listener for pprof + /metrics (empty = off)")
 	accesslog := flag.Bool("accesslog", true, "log every request to stderr")
 	events := flag.Int("events", 4096, "event-ring capacity (structured trace records held)")
@@ -104,7 +103,6 @@ func main() {
 		Shards: *shards, K: *k, Seed: *seed,
 		StartEmpty: !*full, AuditEvery: *auditEvery,
 		RestartBackoff: *backoff,
-		Workers:        *workers,
 		Telemetry:      reg,
 	})
 	defer pool.Close()

@@ -18,8 +18,15 @@
 // slab dimensions ride on it), so loadgen needs no knowledge of the
 // graph. Output is one JSON summary on stdout:
 //
-//	{"applies":..,"duplicates":..,"queries":..,"events_per_sec":..,
+//	{"applies":..,"duplicates":..,"updates":..,"queries":..,
+//	 "updates_per_sec":..,"applies_per_sec":..,"queries_per_sec":..,
 //	 "apply_p99_ns":..,"query_p99_ns":..}
+//
+// applies counts acknowledged apply requests (one per sequence number,
+// duplicates included) and updates the edge updates those requests
+// carried; queries counts successful /v1/matching reads. Each rate is its
+// count over the load duration, so update throughput and request
+// throughput are reported apart.
 //
 // Exit status 1 if either p99 bound is exceeded, a request never
 // succeeded, or the metrics scrape is missing the expected series.
@@ -43,12 +50,15 @@ import (
 )
 
 type summary struct {
-	Applies      int64   `json:"applies"`
-	Duplicates   int64   `json:"duplicates"`
-	Queries      int64   `json:"queries"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	ApplyP99NS   int64   `json:"apply_p99_ns"`
-	QueryP99NS   int64   `json:"query_p99_ns"`
+	Applies       int64   `json:"applies"`
+	Duplicates    int64   `json:"duplicates"`
+	Updates       int64   `json:"updates"`
+	Queries       int64   `json:"queries"`
+	UpdatesPerSec float64 `json:"updates_per_sec"`
+	AppliesPerSec float64 `json:"applies_per_sec"`
+	QueriesPerSec float64 `json:"queries_per_sec"`
+	ApplyP99NS    int64   `json:"apply_p99_ns"`
+	QueryP99NS    int64   `json:"query_p99_ns"`
 }
 
 func main() {
@@ -102,7 +112,10 @@ func main() {
 	if applies == 0 || queries == 0 {
 		fatalf("no load delivered: applies=%d queries=%d", applies, queries)
 	}
-	s.EventsPerSec = float64(applies+queries) / duration.Seconds()
+	secs := duration.Seconds()
+	s.UpdatesPerSec = float64(atomic.LoadInt64(&s.Updates)) / secs
+	s.AppliesPerSec = float64(applies) / secs
+	s.QueriesPerSec = float64(queries) / secs
 
 	metrics, err := scrape(hc, *addr+"/metrics")
 	if err != nil {
@@ -142,7 +155,7 @@ func applier(hc *http.Client, addr, client string, r *rng.Rand,
 		default:
 		}
 		seq++
-		body := synthBatch(r, client, seq, edges, maxOps)
+		body, updates := synthBatch(r, client, seq, edges, maxOps)
 		acked := false
 		for try := 0; !acked; try++ {
 			resp, err := hc.Post(addr+"/v1/apply", "application/json", bytes.NewReader(body))
@@ -156,6 +169,7 @@ func applier(hc *http.Client, addr, client string, r *rng.Rand,
 				if err == nil {
 					acked = true
 					atomic.AddInt64(&s.Applies, 1)
+					atomic.AddInt64(&s.Updates, int64(updates))
 					if rep.Duplicate {
 						atomic.AddInt64(&s.Duplicates, 1)
 					}
@@ -211,8 +225,8 @@ func reader(hc *http.Client, addr string, stop <-chan struct{}, s *summary, fail
 
 // synthBatch builds one apply body: random inserts, deletes and weight
 // changes across the slab's edge universe, stamped with the client's
-// idempotency coordinates.
-func synthBatch(r *rng.Rand, client string, seq uint64, edges, maxOps int) []byte {
+// idempotency coordinates. It also returns the body's update count.
+func synthBatch(r *rng.Rand, client string, seq uint64, edges, maxOps int) ([]byte, int) {
 	type updateJSON struct {
 		Edge   int     `json:"edge"`
 		Op     string  `json:"op"`
@@ -232,7 +246,7 @@ func synthBatch(r *rng.Rand, client string, seq uint64, edges, maxOps int) []byt
 		}
 	}
 	body, _ := json.Marshal(map[string]any{"client": client, "seq": seq, "updates": ups})
-	return body
+	return body, n
 }
 
 // slabEdges reads the slab's edge count off /v1/stats.

@@ -43,7 +43,8 @@ type Config struct {
 	// to return to Healthy with a certified matching after the schedule
 	// ends (default 25). Exceeding it fails the run.
 	MaxCleanSlots int
-	// Workers configures the engine.
+	// Workers overrides the engine's worker count (dist.Config.Workers);
+	// 0 sizes it from the slab. Results must not depend on it.
 	Workers int
 }
 

@@ -41,7 +41,9 @@ type ShardConfig struct {
 	// after the schedule ends (default 40 — a late kill can owe a full
 	// capped backoff before its rebuild even starts).
 	MaxCleanSlots int
-	// Workers configures every underlying engine.
+	// Workers overrides every underlying engine's worker count
+	// (dist.Config.Workers); 0 sizes each from its input. Results must
+	// not depend on it.
 	Workers int
 	// Serial runs the pool's single-threaded write path (inline shard
 	// commits, full recompose rescans) instead of the per-shard commit

@@ -101,11 +101,16 @@
 //     contention and no delivery pass); the barrier flips the buffers.
 //     Steady-state rounds allocate nothing, and the port tables are
 //     cached per graph across runs.
-//   - A worker pool (Config.Workers, default GOMAXPROCS) owns contiguous
-//     node chunks; workers advance their nodes one at a time while the
-//     nodes fold the reductions (global OR/max, traffic accounting) into
-//     chunk-local accumulators, and the engine combines the per-chunk
-//     partials at the barrier.
+//   - A worker pool owns contiguous node chunks; workers advance their
+//     nodes one at a time while the nodes fold the reductions (global
+//     OR/max, traffic accounting) into chunk-local accumulators, and the
+//     engine combines the per-chunk partials at the barrier. By default
+//     the engine sizes the pool from its input, one worker per
+//     workPerWorker nodes plus directed arcs, clamped to [1, GOMAXPROCS]:
+//     below the measured crossover a second worker's per-round dispatch
+//     and staged delivery cost more than the round's work, so serving-
+//     sized graphs run one inline worker and large solves scale with the
+//     cores. Config.Workers overrides the choice.
 //   - Every node draws randomness from its own deterministic stream,
 //     forked from Config.Seed by node id (rng.ForkSeed). Together with
 //     fixed mailbox slots and associative-commutative reductions this

@@ -20,7 +20,11 @@ type Config struct {
 	// Profile records a per-round traffic profile into Stats.Profile.
 	Profile bool
 	// Workers is the number of chunk workers resuming nodes and folding
-	// reductions; 0 means GOMAXPROCS. Results do not depend on it.
+	// reductions. 0 sizes the pool from the input: one worker per
+	// workPerWorker nodes plus directed arcs, at least one, at most
+	// GOMAXPROCS (see defaultWorkers). A positive value is an explicit
+	// override, which the worker-independence tests use to force the
+	// multi-worker paths on small graphs. Results do not depend on it.
 	Workers int
 	// MaxRounds aborts (panics) a run that exceeds this many rounds —
 	// a guard against protocols that fail to converge. 0 means no limit.
@@ -726,6 +730,25 @@ func Run(g *graph.Graph, cfg Config, program func(*Node)) *Stats {
 	return &st
 }
 
+// workPerWorker is the input size, in nodes plus directed arcs, each
+// chunk worker must own before another worker pays for itself. Every
+// worker beyond the first costs a dispatch round-trip per round and
+// switches delivery to the staged mode with its separate gather pass;
+// below the crossover that overhead exceeds the round's work. The value
+// comes from the workers × topology grid and the k=3 bipartite pipeline
+// at 1 vs 2 workers on 2 cores (DESIGN.md §1, "Worker scaling"): a second
+// worker loses on the 4,096-node 4-regular grid point (20,480
+// nodes+arcs), breaks even on the pipeline at 2,048 nodes per side (about
+// 20k) and wins from 8,192 per side (about 82k) on.
+const workPerWorker = 32768
+
+// defaultWorkers is the worker count of a Config with Workers == 0 on a
+// graph of n nodes and arcs directed arcs, given procs usable cores:
+// (n+arcs)/workPerWorker clamped to [1, procs], and never more than n.
+func defaultWorkers(n, arcs, procs int) int {
+	return min(max((n+arcs)/workPerWorker, 1), procs, n)
+}
+
 // chunkAlign is the worker-chunk boundary granularity in nodes: 64 nodes
 // of the one-byte state slab span exactly one cache line, so aligned
 // chunks write disjoint lines.
@@ -756,7 +779,7 @@ func newEngine(g *graph.Graph, cfg Config) *engine {
 
 	nw := cfg.Workers
 	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
+		nw = defaultWorkers(n, arcs, runtime.GOMAXPROCS(0))
 	}
 	if nw > n {
 		nw = n
@@ -765,6 +788,8 @@ func newEngine(g *graph.Graph, cfg Config) *engine {
 	// the receiver-indexed scatter — fastest on one core, and contention
 	// is impossible — while concurrent workers stage sends in their own
 	// chunk rows so no worker ever writes another chunk's cache lines.
+	// Under the default sizing the mode therefore follows the input size:
+	// small graphs scatter, graphs past the crossover stage.
 	e.staged = nw > 1
 	e.workers = make([]worker, nw)
 	lo := int32(0)

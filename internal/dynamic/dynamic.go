@@ -169,7 +169,9 @@ type Options struct {
 	// recoverable fault, not a livelock. Negative keeps runs unbounded
 	// even under faults.
 	MaxRounds int
-	// Workers configures the underlying engine.
+	// Workers overrides the engine's worker count (dist.Config.Workers);
+	// 0 sizes it from the slab. Results do not depend on it; the
+	// worker-independence tests set it to force multi-worker engines.
 	Workers int
 	// Telemetry, when set, registers the maintainer_* latency histograms
 	// (Apply, repair, certificate-probe wall time) on the given registry.

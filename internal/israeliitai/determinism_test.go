@@ -11,7 +11,8 @@ import (
 // TestMatchingBitIdenticalAcrossWorkers is the end-to-end determinism
 // guarantee the engine advertises: a full randomized protocol run must
 // produce the exact same matching whether the engine executes serially or
-// with a pool of workers (the GOMAXPROCS-many default on multicore).
+// with a pool of workers (the default on multicore past the sizing
+// crossover).
 func TestMatchingBitIdenticalAcrossWorkers(t *testing.T) {
 	g := gen.Gnm(rng.New(9), 600, 2400)
 	base, baseStats := RunWithConfig(g, dist.Config{Seed: 123, Workers: 1}, true)

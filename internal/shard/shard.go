@@ -61,7 +61,11 @@ type Options struct {
 	// Equivalent); Serial exists as that differential oracle and as the
 	// single-threaded baseline the serving benchmarks compare against.
 	Serial bool
-	// Workers configures every underlying engine.
+	// Workers overrides the worker count of every underlying engine
+	// (dist.Config.Workers). 0 lets each engine size itself from its
+	// input, which on shard sub-slabs means one inline worker, so the
+	// pool parallelizes across shards. Results do not depend on it; the
+	// worker-independence tests set it to force multi-worker engines.
 	Workers int
 	// Telemetry, when set, registers the pool's metric handles — per-shard
 	// up/health/backoff/restart gauges, routing and resolver counters, the

@@ -97,12 +97,9 @@ func (d *DynMCM) Schedule(q *Queues, r *rng.Rand) []int {
 			seed = r.Uint64()
 		}
 		d.n = n
-		// Workers: 1 — a 2n-node slab is far below the dispatch
-		// break-even, and it keeps a scheduler from spawning goroutines.
 		d.mt = dynamic.New(CrossbarSlab(n), dynamic.Options{
 			K: d.k(), Seed: seed, StartEmpty: true,
 			AuditEvery: d.AuditEvery, AlwaysRecompute: d.Recompute,
-			Workers: 1,
 		})
 	} else if d.n != n {
 		panic("switchsched: DynMCM reused across different port counts")
