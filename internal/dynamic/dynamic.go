@@ -67,7 +67,8 @@ type Health uint8
 
 const (
 	// Healthy: the matching is maintained normally and, at audited
-	// points, certified (1−1/K)-approximate.
+	// points, certified (1−1/K)-approximate on the live subgraph minus
+	// the pinned nodes.
 	Healthy Health = iota
 	// Degraded: the last maintenance attempt was lost to a fault and the
 	// recovery ladder has not yet succeeded. Matching() keeps serving the
@@ -124,7 +125,8 @@ type Batch []Update
 // Options configures a Maintainer.
 type Options struct {
 	// K is the approximation target: audited matchings are (1−1/K)-
-	// approximate on the live subgraph. Default 3.
+	// approximate on the live subgraph minus the pinned nodes
+	// (Maintainer.SetPinned). Default 3.
 	K int
 	// Seed roots all randomness; identical seeds and update sequences
 	// replay bit-identically. Default 1.
@@ -215,8 +217,9 @@ func (o Options) withDefaults() Options {
 // ApplyReport describes what one Apply did.
 type ApplyReport struct {
 	// Touched is the number of dirty nodes the batch produced (endpoints
-	// of edges whose liveness changed, plus endpoints freed by deleting
-	// a matched edge). Zero means the batch needed no repair.
+	// of edges whose liveness changed, except edges at pinned nodes, plus
+	// nodes released from the pinned set since the last Apply). Zero
+	// means the batch needed no repair.
 	Touched int
 	// RegionNodes is the size of the repaired region (the whole graph
 	// when Recomputed).

@@ -144,12 +144,18 @@ func TestFuzzDynamicActiveVsFullSweep(t *testing.T) {
 }
 
 // TestFuzzDynamicAuditEquivalence replays the Maintainer's restricted
-// audit (active set = endpoints of live edges) against the independent
-// fresh-graph verifier on the materialized live subgraph: validity,
-// maximality and the shortest-augmenting-path certificate must agree at
-// every audit point of a random schedule.
+// audit (active set = endpoints of engine-live edges) against the
+// independent fresh-graph verifier on the materialized subgraph it
+// certifies: validity, maximality and the shortest-augmenting-path
+// certificate must agree at every audit point of a random schedule.
+// Between batches the schedule pins and releases random unmatched nodes
+// (Maintainer.SetPinned), so the certified subgraph is the live subgraph
+// minus the pinned nodes; a FullSweep twin replays every step and must
+// stay bit-identical, and every audited state is checked (1−1/k) against
+// internal/exact on that subgraph.
 func TestFuzzDynamicAuditEquivalence(t *testing.T) {
 	seeds, _ := fuzzSeeds(t, 12)
+	pinSteps := 0
 	for _, seed := range seeds {
 		// Each trial is self-contained in its seed (its own rng stream, not
 		// a shared one), so a failure replays alone via DISTMATCH_FUZZ_SEED.
@@ -159,14 +165,37 @@ func TestFuzzDynamicAuditEquivalence(t *testing.T) {
 			continue
 		}
 		k := 2 + int(seed%2)
-		mt := New(g, Options{K: k, Seed: seed + 3, StartEmpty: true, AuditEvery: -1})
+		opts := Options{K: k, Seed: seed + 3, StartEmpty: true, AuditEvery: -1}
+		mt := New(g, opts)
+		opts.FullSweep = true
+		twin := New(g, opts)
+		lockstep := func(step int, what string, ra, rf ApplyReport) {
+			t.Helper()
+			if !fuzzReportsEqual(ra, rf) {
+				fuzzFail(t, seed, "step %d %s: reports diverge\nactive %+v\nfull   %+v", step, what, ra, rf)
+			}
+			if ka, kf := matchKey(g, mt.Matching()), matchKey(g, twin.Matching()); ka != kf {
+				fuzzFail(t, seed, "step %d %s: matchings diverge: %q vs %q", step, what, ka, kf)
+			}
+		}
 		for step := 0; step < 20; step++ {
-			mt.Apply(randomBatch(r, mt, 3))
+			b := randomBatch(r, mt, 3)
+			lockstep(step, "apply", mt.Apply(b), twin.Apply(b))
+			if r.Intn(2) == 0 {
+				pins := randomPins(r, mt)
+				if err := mt.SetPinned(pins); err != nil {
+					fuzzFail(t, seed, "step %d: %v", step, err)
+				}
+				if err := twin.SetPinned(pins); err != nil {
+					fuzzFail(t, seed, "step %d: twin: %v", step, err)
+				}
+				pinSteps++
+			}
 			// Reference probe of the *pre-audit* state through independent
 			// plumbing: a fresh graph, a fresh engine, no active set, no
 			// shared slabs. The Berge probe's BFS is deterministic given
 			// (graph, matching), so outcomes must coincide exactly.
-			lg := mt.LiveGraph()
+			lg := unpinnedGraph(mt)
 			me := make([]int32, lg.N())
 			for v := range me {
 				me[v] = -1
@@ -182,6 +211,7 @@ func TestFuzzDynamicAuditEquivalence(t *testing.T) {
 			}
 			preFailures := mt.Totals().AuditFailures
 			rep := mt.Audit() // the restricted, engine-shared audit
+			lockstep(step, "audit", rep, twin.Audit())
 			failed := mt.Totals().AuditFailures > preFailures
 			if refAug := ref.ShortestAug != -1; failed != refAug {
 				fuzzFail(t, seed, "step %d: restricted audit failed=%v, reference found aug=%v (len %d)",
@@ -190,7 +220,24 @@ func TestFuzzDynamicAuditEquivalence(t *testing.T) {
 			if !rep.CertificateOK {
 				fuzzFail(t, seed, "step %d: audit did not restore the certificate: %+v", step, rep)
 			}
+			m := mt.Matching()
+			if opt := exact.MaxCardinality(lg).Size(); m.Size()*k < (k-1)*opt {
+				fuzzFail(t, seed, "step %d: size %d below (1-1/%d) of opt %d on the unpinned live subgraph",
+					step, m.Size(), k, opt)
+			}
+			for _, e := range m.Edges(g) {
+				if x, y := g.Endpoints(e); mt.Pinned(x) || mt.Pinned(y) {
+					fuzzFail(t, seed, "step %d: pinned node matched by edge %d", step, e)
+				}
+			}
+		}
+		if ta, tf := mt.Totals(), twin.Totals(); !fuzzTotalsEqual(ta, tf) {
+			fuzzFail(t, seed, "totals diverge\nactive %+v\nfull   %+v", ta, tf)
 		}
 		mt.Close()
+		twin.Close()
+	}
+	if pinSteps == 0 {
+		t.Fatal("no schedule changed the pinned set")
 	}
 }

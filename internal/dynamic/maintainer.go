@@ -34,12 +34,19 @@ type maintTel struct {
 // Recompute once to match a prepopulated slab. Close releases the engine
 // when done.
 //
+// An outside owner can take nodes out of the Maintainer's hands with
+// SetPinned: the shard pool pins every node it has matched across the
+// shard boundary. A pinned node is never matched here, and repairs and
+// audits treat it as taken — its live edges are masked out of the engine
+// — so a Healthy Maintainer certifies (1−1/K) on the live subgraph minus
+// its pinned nodes. Liveness itself (Live, LiveGraph) ignores pins.
+//
 // Concurrency: mutators (Apply, Recompute, Audit, CrashNode, Restore,
-// Adopt, InjectFaults, Close) serialize on an internal write lock, and
-// the read surface (Matching, Health, Totals, Live, Weight, LiveGraph)
-// takes the corresponding read lock, so any number of serving goroutines
-// may query while another applies updates — the property the sharded
-// serving layer leans on. Matching results are immutable snapshots:
+// Adopt, SetPinned, InjectFaults, Close) serialize on an internal write
+// lock, and the read surface (Matching, Health, Totals, Live, Pinned,
+// Weight, LiveGraph) takes the corresponding read lock, so any number of
+// serving goroutines may query while another applies updates — the
+// property the sharded serving layer leans on. Matching results are immutable snapshots:
 // once returned, a *graph.Matching is never mutated.
 type Maintainer struct {
 	g    *graph.Graph
@@ -52,17 +59,23 @@ type Maintainer struct {
 	mu sync.RWMutex
 
 	live        []bool  // liveness mirror, indexed by edge id
-	liveDeg     []int32 // per-node live degree
+	liveDeg     []int32 // per-node degree under the engine mask (live edges off pinned nodes)
 	matchedEdge []int32 // per-node matched edge id, -1 free
 	repairer    *core.BipartiteRepairer
 	cached      atomic.Pointer[graph.Matching]
 
 	// The audit restriction, maintained incrementally on liveDeg 0↔1
 	// transitions so audits never scan the slab: liveList holds every
-	// node with a live incident edge (unordered, swap-remove), livePos
-	// its position (-1 absent).
+	// node with an engine-live incident edge (unordered, swap-remove),
+	// livePos its position (-1 absent).
 	liveList []int32
 	livePos  []int32
+
+	// The pinned node set (SetPinned). The engine mask holds exactly the
+	// live edges with no pinned endpoint. unpinned collects the nodes
+	// released since the last Apply: they seed its repair region.
+	pinned   []bool
+	unpinned []int32
 
 	// Scratch, reused across applies: the batch's dirty endpoints, the
 	// mate-closure member snapshot, and — in FullSweep mode only — a
@@ -123,6 +136,7 @@ func New(g *graph.Graph, opts Options) *Maintainer {
 		liveDeg:     make([]int32, g.N()),
 		livePos:     make([]int32, g.N()),
 		matchedEdge: make([]int32, g.N()),
+		pinned:      make([]bool, g.N()),
 	}
 	for v := range mt.matchedEdge {
 		mt.matchedEdge[v] = -1
@@ -174,6 +188,13 @@ func (mt *Maintainer) Live(e int) bool {
 	mt.mu.RLock()
 	defer mt.mu.RUnlock()
 	return mt.live[e]
+}
+
+// Pinned reports whether node v is in the pinned set (SetPinned).
+func (mt *Maintainer) Pinned(v int) bool {
+	mt.mu.RLock()
+	defer mt.mu.RUnlock()
+	return mt.pinned[v]
 }
 
 // Weight returns the current weight of slab edge e.
@@ -230,11 +251,23 @@ func (mt *Maintainer) Matching() *graph.Matching {
 
 // LiveGraph materializes the current live subgraph (with current
 // weights) as a fresh immutable Graph on the slab's node ids — the form
-// the centralized exact references take for spot audits.
+// the centralized exact references take for spot audits. Pins do not
+// hide edges here: it is the true live subgraph, built from the liveness
+// mirror rather than the engine mask.
 func (mt *Maintainer) LiveGraph() *graph.Graph {
 	mt.mu.RLock()
 	defer mt.mu.RUnlock()
-	return mt.r.LiveSubgraph()
+	b := graph.NewBuilder(mt.g.N())
+	for v := 0; v < mt.g.N(); v++ {
+		b.SetSide(v, int8(mt.g.Side(v)))
+	}
+	for e, ok := range mt.live {
+		if ok {
+			x, y := mt.g.Endpoints(e)
+			b.AddWeightedEdge(x, y, mt.r.EdgeWeight(e))
+		}
+	}
+	return b.MustBuild()
 }
 
 // Apply applies one batch of updates and repairs the matching. The
@@ -267,7 +300,16 @@ func (mt *Maintainer) Apply(b Batch) ApplyReport {
 			panic(fmt.Sprintf("dynamic: unknown op %d", u.Op))
 		}
 	}
+	// Nodes released from the pinned set since the last Apply seed the
+	// region: their edges rejoined the engine, so a new short augmenting
+	// path must run through one of them.
 	mt.dirty = mt.dirty[:0]
+	for _, v := range mt.unpinned {
+		if !mt.pinned[v] {
+			mt.dirty = append(mt.dirty, v)
+		}
+	}
+	mt.unpinned = mt.unpinned[:0]
 	for _, u := range b {
 		switch u.Op {
 		case Insert:
@@ -276,13 +318,16 @@ func (mt *Maintainer) Apply(b Batch) ApplyReport {
 			}
 			if !mt.live[u.Edge] {
 				mt.live[u.Edge] = true
-				mt.r.SetEdgeLive(u.Edge, true)
-				mt.markDirty(u.Edge, +1)
+				// An edge at a pinned node stays out of the engine until
+				// the pin is released.
+				if !mt.pinnedEdge(u.Edge) {
+					mt.r.SetEdgeLive(u.Edge, true)
+					mt.markDirty(u.Edge, +1)
+				}
 			}
 		case Delete:
 			if mt.live[u.Edge] {
 				mt.live[u.Edge] = false
-				mt.r.SetEdgeLive(u.Edge, false)
 				x, y := mt.g.Endpoints(u.Edge)
 				if mt.matchedEdge[x] == int32(u.Edge) {
 					mt.matchedEdge[x], mt.matchedEdge[y] = -1, -1
@@ -297,7 +342,10 @@ func (mt *Maintainer) Apply(b Batch) ApplyReport {
 					mt.cachedGood.Store(nil)
 					mt.gen++
 				}
-				mt.markDirty(u.Edge, -1)
+				if !mt.pinnedEdge(u.Edge) {
+					mt.r.SetEdgeLive(u.Edge, false)
+					mt.markDirty(u.Edge, -1)
+				}
 			}
 		case SetWeight:
 			mt.r.SetEdgeWeight(u.Edge, u.Weight)
@@ -507,9 +555,9 @@ func (mt *Maintainer) CrashNode(v int) ApplyReport {
 // replays the pool's authoritative liveness mirror and adopts the last
 // snapshot in O(slab), with no engine runs. live must have one entry per
 // slab edge and matched one per node; weights may be nil (keep current).
-// The Maintainer comes back Recovering: it serves the restored matching
-// immediately, but the state is uncertified until the next audit passes
-// (forced on the next Apply).
+// The Maintainer comes back Recovering with no pinned nodes: it serves
+// the restored matching immediately, but the state is uncertified until
+// the next audit passes (forced on the next Apply).
 func (mt *Maintainer) Restore(live []bool, weights []float64, matched []int32) error {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
@@ -523,6 +571,10 @@ func (mt *Maintainer) Restore(live []bool, weights []float64, matched []int32) e
 		return fmt.Errorf("dynamic: Restore: %v", err)
 	}
 	copy(mt.live, live)
+	for v := range mt.pinned {
+		mt.pinned[v] = false
+	}
+	mt.unpinned = mt.unpinned[:0]
 	for e := range live {
 		mt.r.SetEdgeLive(e, live[e])
 		if weights != nil {
@@ -551,17 +603,81 @@ func (mt *Maintainer) Restore(live []bool, weights []float64, matched []int32) e
 // repair — the push-back hook of the sharded layer's global
 // conflict-resolution pass: after the pool repairs the composed matching
 // across shard boundaries, each shard adopts its restriction and
-// continues incrementally from it. The Maintainer ends Recovering: the
-// adopted matching is served at once but stays uncertified until its
-// next audit passes (forced on the next Apply).
+// continues incrementally from it. matched must leave every pinned node
+// free. The Maintainer ends Recovering: the adopted matching is served at
+// once but stays uncertified until its next audit passes (forced on the
+// next Apply).
 func (mt *Maintainer) Adopt(matched []int32) error {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
 	if err := validateMatched(mt.g, matched, mt.live); err != nil {
 		return fmt.Errorf("dynamic: Adopt: %v", err)
 	}
+	for v, e := range matched {
+		if e >= 0 && mt.pinned[v] {
+			return fmt.Errorf("dynamic: Adopt: node %d is pinned", v)
+		}
+	}
 	mt.adoptLocked(matched)
 	return nil
+}
+
+// SetPinned replaces the pinned node set with the nodes marked in pinned
+// (one entry per slab node). A pinned node is taken by an outside owner —
+// the shard pool pins the nodes it matched across the shard boundary —
+// so repairs never match it and audits do not count augmenting paths
+// through it: its live edges leave the engine mask, while Live and
+// LiveGraph still report them. Only an unmatched node can be pinned;
+// SetPinned fails, changing nothing, if pinned marks a matched node. A
+// released node seeds the next Apply's repair region, which rematches it
+// if it can. Pinning needs no repair: removing unmatched edges creates no
+// augmenting path.
+func (mt *Maintainer) SetPinned(pinned []bool) error {
+	mt.mu.Lock()
+	defer mt.mu.Unlock()
+	if len(pinned) != mt.g.N() {
+		return fmt.Errorf("dynamic: SetPinned length %d != %d nodes", len(pinned), mt.g.N())
+	}
+	for v, on := range pinned {
+		if on && !mt.pinned[v] && mt.matchedEdge[v] >= 0 {
+			return fmt.Errorf("dynamic: SetPinned: node %d is matched", v)
+		}
+	}
+	for v, on := range pinned {
+		if on != mt.pinned[v] {
+			mt.setPin(v, on)
+		}
+	}
+	return nil
+}
+
+// setPin pins or releases one node, moving its live edges to unpinned
+// neighbors out of, or back into, the engine mask.
+func (mt *Maintainer) setPin(v int, on bool) {
+	delta := int32(1)
+	if on {
+		delta = -1
+	} else {
+		mt.unpinned = append(mt.unpinned, int32(v))
+	}
+	for p := 0; p < mt.g.Deg(v); p++ {
+		e := mt.g.EdgeAt(v, p)
+		w := mt.g.Other(e, v)
+		if !mt.live[e] || mt.pinned[w] {
+			continue
+		}
+		mt.r.SetEdgeLive(e, !on)
+		mt.bumpLiveDeg(v, delta)
+		mt.bumpLiveDeg(w, delta)
+	}
+	mt.pinned[v] = on
+}
+
+// pinnedEdge reports whether edge e has a pinned endpoint, which keeps
+// it out of the engine mask whatever its liveness.
+func (mt *Maintainer) pinnedEdge(e int) bool {
+	x, y := mt.g.Endpoints(e)
+	return mt.pinned[x] || mt.pinned[y]
 }
 
 // adoptLocked installs a validated matching and resets the recovery
@@ -614,9 +730,10 @@ func validateMatched(g *graph.Graph, matched []int32, live []bool) error {
 	return nil
 }
 
-// markDirty records both endpoints of a liveness-changed edge and keeps
-// the per-node live degrees — and the liveList membership the audits
-// restrict to — current (delta is +1 insert, −1 delete).
+// markDirty records both endpoints of an edge entering or leaving the
+// engine mask and keeps the per-node degrees — and the liveList
+// membership the audits restrict to — current (delta is +1 insert, −1
+// delete).
 func (mt *Maintainer) markDirty(e, delta int) {
 	x, y := mt.g.Endpoints(e)
 	mt.dirty = append(mt.dirty, int32(x), int32(y))
@@ -771,14 +888,14 @@ func (mt *Maintainer) attempt(rep *ApplyReport, step func()) bool {
 }
 
 // consistent is the O(n) invariant check the fault guard relies on:
-// every matched edge is in range, live, incident to its node, and
-// claimed by both endpoints.
+// every matched edge is in range, live, off the pinned nodes, incident to
+// its node, and claimed by both endpoints.
 func (mt *Maintainer) consistent() bool {
 	for v, e := range mt.matchedEdge {
 		if e < 0 {
 			continue
 		}
-		if int(e) >= len(mt.live) || !mt.live[e] {
+		if int(e) >= len(mt.live) || !mt.live[e] || mt.pinnedEdge(int(e)) {
 			return false
 		}
 		x, y := mt.g.Endpoints(int(e))
@@ -800,7 +917,7 @@ func (mt *Maintainer) scrub() {
 		if e < 0 {
 			continue
 		}
-		ok := int(e) < len(mt.live) && mt.live[e]
+		ok := int(e) < len(mt.live) && mt.live[e] && !mt.pinnedEdge(int(e))
 		if ok {
 			x, y := mt.g.Endpoints(int(e))
 			ok = (x == v || y == v) && mt.matchedEdge[x] == e && mt.matchedEdge[y] == e
@@ -963,10 +1080,11 @@ func (mt *Maintainer) auditOnce(rep *ApplyReport) {
 }
 
 // probeCertificate runs the Berge probe through the shared Runner. Under
-// active-set execution the probe steps only the endpoints of live edges —
-// a set that contains every matched node and that no live edge (hence no
-// probe message) can cross — so audit rounds cost O(live subgraph), not
-// O(slab). With no live edge at all the set is empty and
+// active-set execution the probe steps only the endpoints of engine-live
+// edges — a set that contains every matched node, excludes the pinned
+// ones, and that no engine-live edge (hence no probe message) can cross —
+// so audit rounds cost O(live subgraph), not O(slab). With no
+// engine-live edge at all the set is empty and
 // check.MatchingOnRunner short-circuits without a run (identically for
 // the full-sweep form, keyed on the runner's live-edge count), so
 // messages, rounds and outcomes stay bit-identical to a full-sweep audit

@@ -18,15 +18,22 @@
 // Every Apply routes its batch to the owning shards (each shard sees its
 // restriction of the batch, in order, as one atomic local batch),
 // applies all shard batches in parallel, then recomposes the global
-// matching: shard matchings are authoritative on internal edges,
-// crossing matches survive only while both endpoints stay free of
-// internal matches, and a deterministic greedy pass (ascending edge id)
-// matches free-free crossing edges. A periodic pool audit runs the Berge
-// probe over the full live graph; a failed certificate triggers the
-// bounded conflict-resolution repair — a warm full repair of the
-// composed matching — whose result is pushed back into the shards
+// matching: shard matchings are authoritative on internal edges, and a
+// deterministic greedy pass (ascending edge id) matches free-free
+// crossing edges. A crossing match lasts while its edge is live: each
+// shard pins its crossing-matched nodes (Maintainer.SetPinned), the
+// k-party rule that a party treats a vertex the coordinator matched
+// across the boundary as taken, so shard repairs never rematch them
+// internally. Only a Degraded shard, whose pins are not synced while it
+// serves its last-good snapshot, can still claim such a node; once it
+// serves its own matching again the shard's match wins and the crossing
+// match dissolves. A periodic pool audit runs the Berge probe over the
+// full live graph; a failed certificate triggers the bounded
+// conflict-resolution repair — a warm full repair of the composed
+// matching — whose result is pushed back into the shards
 // (Maintainer.Adopt), re-entering them into their own
-// Recovering-until-audited ladder.
+// Recovering-until-audited ladder. With the pins synced first, the
+// pushed-back restriction certifies inside the shard and stays put.
 //
 // The robustness layer is the supervisor: it consumes each Maintainer's
 // Health after every Apply and asserts dynamic.ValidTransition (a shard

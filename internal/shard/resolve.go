@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"fmt"
+
 	"distmatch/internal/check"
 	"distmatch/internal/dist"
+	"distmatch/internal/dynamic"
 	"distmatch/internal/telemetry"
 )
 
@@ -322,6 +325,7 @@ func (p *Pool) Audit() Report {
 	rep.Step = p.step
 	if !p.degradedLocked() {
 		p.runAudit(&rep)
+		p.syncAllPins()
 		p.wasDegraded = false
 		p.publishLocked()
 	}
@@ -426,10 +430,12 @@ func (p *Pool) restrictionOf(slot *shardSlot) []int32 {
 
 // adoptBack pushes the post-repair restriction into every up shard the
 // repair changed. A restriction of a valid composed matching is always
-// a consistent local matching on the shard's live sub-slab, so Adopt
-// cannot fail; the shard serves it immediately and re-certifies through
-// its own forced audit on the next Apply. Adopted shards are marked for
-// rescan — their served matching just changed under the pool.
+// a consistent local matching on the shard's live sub-slab, and its
+// pins are synced first — every node the repair took off a crossing edge
+// is released — so it matches no pinned node and Adopt cannot fail; the
+// shard serves it immediately and re-certifies through its own forced
+// audit on the next Apply. Adopted shards are marked for rescan — their
+// served matching just changed under the pool.
 func (p *Pool) adoptBack(before [][]int32, step int) {
 	for s, slot := range p.shards {
 		if !slot.up || before[s] == nil {
@@ -439,6 +445,7 @@ func (p *Pool) adoptBack(before [][]int32, step int) {
 		if int32sEqual(before[s], after) {
 			continue
 		}
+		p.syncPins(slot, before[s])
 		if err := slot.mt.Adopt(after); err != nil {
 			panic("shard: push-back of a repaired restriction failed: " + err.Error())
 		}
@@ -449,6 +456,37 @@ func (p *Pool) adoptBack(before [][]int32, step int) {
 		}
 		p.totals.Adopts++
 		p.emit(step, telemetry.EventAdopt, int32(s), 0, 0)
+	}
+}
+
+// syncAllPins syncs every shard's pinned set with the composed matching
+// (see syncPins).
+func (p *Pool) syncAllPins() {
+	for _, slot := range p.shards {
+		p.syncPins(slot, nil)
+	}
+}
+
+// syncPins sets the shard's pinned node set to its nodes whose composed
+// match is a crossing edge: the k-party split's rule that a party treats
+// a vertex the coordinator matched across the boundary as taken. Without
+// it the shard would see those nodes as free, rematch them internally
+// and so dissolve the crossing matches a conflict repair had just made.
+// current, when set, is the shard's local matching still in force (the
+// pre-repair restriction in adoptBack): its matched nodes cannot be
+// pinned yet, and the sync after Adopt pins them. A down shard has no
+// Maintainer, and a Degraded one keeps its pins — it serves a last-good
+// snapshot, so the composed matching says nothing about its own.
+func (p *Pool) syncPins(slot *shardSlot, current []int32) {
+	if !slot.up || slot.health == dynamic.Degraded {
+		return
+	}
+	for lv, gv := range slot.nodes {
+		ge := p.gmatch[gv]
+		slot.pins[lv] = ge >= 0 && p.edgeShard[ge] < 0 && (current == nil || current[lv] < 0)
+	}
+	if err := slot.mt.SetPinned(slot.pins); err != nil {
+		panic(fmt.Sprintf("shard: pin sync of shard %d failed: %v", slot.id, err))
 	}
 }
 

@@ -169,7 +169,11 @@ type ShardStatus struct {
 	InternalEdges int // owned (internal) slab edges
 }
 
-// Stats aggregates a Pool's lifetime costs.
+// Stats aggregates a Pool's lifetime costs. Audits counts certificate
+// probes, not audit epochs: an epoch whose first probe fails runs a
+// conflict repair and a re-probe, so it counts 2 in Audits and 1 in
+// AuditFailures, and an AuditFailures/Audits ratio of 0.5 means every
+// epoch failed. The pool_epochs_total metric counts epochs.
 type Stats struct {
 	Applies         int
 	Routed          int64 // updates routed to shard batches
@@ -178,8 +182,8 @@ type Stats struct {
 	Kills           int   // scheduled kills (KillPlan or KillShard)
 	Crashes         int   // shards lost to panics or illegal transitions
 	Restarts        int   // completed rebuilds
-	Audits          int   // pool conflict audits
-	AuditFailures   int   // audits that found a short augmenting path
+	Audits          int   // pool certificate probes (2 per failed epoch)
+	AuditFailures   int   // epochs whose first probe found a short augmenting path
 	Repairs         int   // conflict-resolution repairs
 	Adopts          int   // shard push-backs after a repair
 	CrossingMatched int64 // crossing matches added by greedy resolution
@@ -207,6 +211,7 @@ type shardSlot struct {
 
 	dirty bool          // served matching may have changed: recompose must rescan
 	batch dynamic.Batch // per-Apply routing buffer, reused
+	pins  []bool        // pinned-set buffer for syncPins, one entry per local node
 	work  chan shardJob // commit pipeline feed (nil in Serial mode)
 }
 
@@ -376,6 +381,7 @@ func New(g *graph.Graph, opts Options) *Pool {
 	}
 	if !opts.StartEmpty {
 		p.recompose(nil)
+		p.syncAllPins()
 	}
 	p.publishLocked()
 	p.updateGauges()
@@ -427,6 +433,7 @@ func (p *Pool) partition() {
 		slot.edges = append(slot.edges, int32(e))
 	}
 	for _, slot := range p.shards {
+		slot.pins = make([]bool, len(slot.nodes))
 		b := graph.NewBuilder(len(slot.nodes))
 		for lv, gv := range slot.nodes {
 			side := p.g.Side(int(gv))
@@ -581,6 +588,7 @@ func (p *Pool) apply(client string, seq uint64, b dynamic.Batch) Report {
 	p.observeHealth(crashed, reps, step, &rep)
 	p.recompose(&rep)
 	p.maybeAudit(&rep)
+	p.syncAllPins()
 	rep.Healths, rep.Down = p.healthsLocked()
 	rep.Degraded = p.degradedLocked()
 	p.publishLocked()

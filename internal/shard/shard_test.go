@@ -346,3 +346,92 @@ func TestPoolFullStartLargeChurn(t *testing.T) {
 	}
 	checkPool(t, p, "final")
 }
+
+// checkPins asserts the pool's pin invariant: an up, non-Degraded shard
+// pins exactly its nodes whose composed match is a crossing edge.
+func checkPins(t *testing.T, p *Pool, label string) {
+	t.Helper()
+	m := p.Matching()
+	for s, slot := range p.shards {
+		if !slot.up || slot.health == dynamic.Degraded {
+			continue
+		}
+		for lv, gv := range slot.nodes {
+			me := m.MatchedEdge(int(gv))
+			want := me >= 0 && p.EdgeShard(me) < 0
+			if got := slot.mt.Pinned(lv); got != want {
+				t.Fatalf("%s: shard %d node %d pinned=%v, composed match %d crossing=%v",
+					label, s, gv, got, me, want)
+			}
+		}
+	}
+}
+
+// TestPoolRepairHoldsInShards replays a churn-shaped stream — the
+// 512+512 serving slab, 1–8 updates per batch of which 10% are weight
+// changes — and asserts that a conflict repair pushed back into the
+// shards stays put. Each shard pins its crossing-matched nodes, so the
+// adopted restriction certifies inside the shard: no shard audit fails
+// in the fault-free run, and shards almost never fall back to a full
+// recompute. Without pins every post-adopt shard audit failed, its warm
+// recompute rematched the crossing-matched nodes internally, and the
+// next recompose dissolved the crossing matches the repair had made.
+func TestPoolRepairHoldsInShards(t *testing.T) {
+	g := testSlab(88, 512, 512, 1.0/128)
+	p := New(g, Options{K: 2, Seed: 88, AuditEvery: 16})
+	defer p.Close()
+	checkPins(t, p, "start")
+	recomputes0 := 0
+	for _, slot := range p.shards {
+		recomputes0 += slot.mt.Totals().Recomputes
+	}
+	live := make([]bool, g.M())
+	for e := range live {
+		live[e] = p.Live(e)
+	}
+	r := rng.New(41)
+	const slots = 2048
+	for step := 0; step < slots; step++ {
+		b := make(dynamic.Batch, 1+r.Intn(8))
+		for i := range b {
+			e := r.Intn(g.M())
+			switch {
+			case r.Float64() < 0.1:
+				b[i] = dynamic.Update{Edge: e, Op: dynamic.SetWeight, Weight: 1 + r.Float64()}
+			case live[e]:
+				b[i] = dynamic.Update{Edge: e, Op: dynamic.Delete}
+				live[e] = false
+			default:
+				b[i] = dynamic.Update{Edge: e, Op: dynamic.Insert}
+				live[e] = true
+			}
+		}
+		if rep := p.Apply(b); rep.Degraded {
+			t.Fatalf("step %d: degraded without faults", step)
+		}
+		if step%64 == 0 {
+			checkPool(t, p, fmt.Sprintf("step %d", step))
+			checkPins(t, p, fmt.Sprintf("step %d", step))
+		}
+	}
+	tot := p.Totals()
+	if tot.Adopts == 0 {
+		t.Fatalf("no conflict repair was pushed back in %d slots: %+v", slots, tot)
+	}
+	var audits, failures, recomputes int
+	for _, slot := range p.shards {
+		st := slot.mt.Totals()
+		audits += st.Audits
+		failures += st.AuditFailures
+		recomputes += st.Recomputes
+	}
+	recomputes -= recomputes0
+	t.Logf("%d slots: pool epochs %d, failures %d, adopts %d; shard audits %d, failures %d, recomputes %d",
+		slots, tot.Audits-tot.AuditFailures, tot.AuditFailures, tot.Adopts, audits, failures, recomputes)
+	if failures != 0 {
+		t.Fatalf("%d shard audit failures in a fault-free run (pool adopts %d)", failures, tot.Adopts)
+	}
+	if recomputes > 8 {
+		t.Fatalf("%d shard recomputes in %d slots, want at most 8", recomputes, slots)
+	}
+}

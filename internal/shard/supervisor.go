@@ -149,8 +149,8 @@ func (p *Pool) closeSlot(slot *shardSlot) {
 // rebuildLocked cold-rebuilds a shard from the pool's authoritative
 // mirror: a fresh Maintainer (fresh seed fork, empty slab) restored with
 // the shard's restriction of global liveness, weights and the composed
-// matching. The shard comes back Recovering — serving immediately,
-// certified only by its own next audit.
+// matching, with its crossing-matched nodes pinned. The shard comes back
+// Recovering — serving immediately, certified only by its own next audit.
 func (p *Pool) rebuildLocked(slot *shardSlot, step int) {
 	slot.restarts++
 	slot.rebuiltAt = step
@@ -176,6 +176,7 @@ func (p *Pool) rebuildLocked(slot *shardSlot, step int) {
 		// it is a bug, not a runtime condition.
 		panic(fmt.Sprintf("shard: rebuild of shard %d from the pool mirror failed: %v", slot.id, err))
 	}
+	p.syncPins(slot, nil)
 	slot.dirty = true
 	pre := slot.health
 	slot.health = slot.mt.Health()

@@ -20,7 +20,7 @@ func TestHistogramBucketBoundsExact(t *testing.T) {
 		{8, 8}, {9, 9}, {15, 15},
 		{16, 16}, {17, 16}, {18, 17}, {31, 23},
 		{32, 24}, {35, 24}, {36, 25},
-		{1 << 20, 8 + (20-3)*8},          // power of two: first sub-bucket of its octave
+		{1 << 20, 8 + (20-3)*8},           // power of two: first sub-bucket of its octave
 		{(1 << 20) - 1, 8 + (19-3)*8 + 7}, // just below: last sub-bucket of the octave under
 		{-5, 0},                           // negatives clamp to 0
 	}

@@ -88,13 +88,13 @@ func TestExpositionFormat(t *testing.T) {
 
 func TestValidateExpositionRejects(t *testing.T) {
 	bad := []string{
-		"9metric 1",               // name starting with a digit
-		"ok_metric",               // no value
-		"ok_metric notanumber",    // bad value
-		`m{a="x" 1`,               // unterminated labels
-		`m{a=x} 1`,                // unquoted label value
+		"9metric 1",                             // name starting with a digit
+		"ok_metric",                             // no value
+		"ok_metric notanumber",                  // bad value
+		`m{a="x" 1`,                             // unterminated labels
+		`m{a=x} 1`,                              // unquoted label value
 		"# TYPE m counter\n# TYPE m gauge\nm 1", // duplicate TYPE
-		"# TYPE m flavor\nm 1",    // unknown type
+		"# TYPE m flavor\nm 1",                  // unknown type
 	}
 	for _, in := range bad {
 		if _, err := ValidateExposition(strings.NewReader(in)); err == nil {
