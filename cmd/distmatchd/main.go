@@ -54,7 +54,10 @@
 //	pool_crossing_carried_total                       dirty-worklist resolution: edges examined /
 //	                                                  carried to the next slot
 //	pool_resolver_rounds_total,
-//	pool_resolver_messages_total                      cross-shard communication (audits + repairs)
+//	pool_resolver_messages_total                      cross-shard communication (conflict repairs;
+//	                                                  pool probes are sequential)
+//	pool_repair_nodes_total                           nodes in witness-region conflict repairs
+//	pool_full_repairs_total                           full-repair fallbacks after a failed re-probe
 //	pool_step, pool_degraded, pool_certified          serving state gauges
 //	shard_up{shard="N"}, shard_health{shard="N"},
 //	shard_backoff_slots{shard="N"},

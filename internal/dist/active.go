@@ -88,6 +88,7 @@ func (e *engine) ensureActive() *activeSet {
 // shared implementation of Config.ActiveSet and Runner.SetActive.
 // Duplicates are ignored; ids must lie in [0, n).
 func (e *engine) installActive(nodes []int32) {
+	e.dropPlan()
 	a := e.ensureActive()
 	a.reset()
 	for _, v := range nodes {
@@ -143,6 +144,17 @@ func (e *engine) planSweep() {
 		}
 		w.actHi = idx
 	}
+}
+
+// dropPlan forgets the last run's sweep plan when the active set it was
+// planned from is replaced or cleared. Between runs only a Close-time
+// abortLive reads the plan, and every run already aborted its own live
+// nodes on exit, so an empty list sweep is exact — whereas a stale mask
+// plan would walk e.active after ClearActive had set it to nil.
+func (e *engine) dropPlan() {
+	e.sweep = sweepList
+	e.activeSorted = e.activeSorted[:0]
+	e.reporter = -1
 }
 
 // forEachActive visits every node of the current run in increasing id
@@ -226,6 +238,7 @@ func (r *Runner) ClearActive() {
 	if eng.active != nil {
 		eng.active.reset()
 		eng.active = nil
+		eng.dropPlan()
 	}
 }
 

@@ -623,3 +623,51 @@ func (panicOnInit) Init(nd *Node) bool {
 	return false
 }
 func (panicOnInit) OnRound(*Node, []Incoming) bool { return false }
+
+// TestActiveCloseAfterClearActive: closing a Runner after ClearActive
+// must not consult the last run's sweep plan, whichever form it took —
+// a dense (mask) plan used to dereference the cleared active set. Both
+// sweep forms, both backends, and a replaced active set before Close.
+func TestActiveCloseAfterClearActive(t *testing.T) {
+	g := ring(16)
+	n := g.N()
+	dense := make([]int32, 0, n/2)
+	for v := 0; v < n; v += 2 {
+		dense = append(dense, int32(v))
+	}
+	for _, form := range []struct {
+		name string
+		ids  []int32
+	}{{"list", []int32{5}}, {"mask", dense}} {
+		for _, flat := range []bool{true, false} {
+			for _, then := range []string{"clear", "replace"} {
+				rn := NewRunner(g, Config{})
+				rn.SetActive(form.ids)
+				if flat {
+					rn.RunFlat(1, func(*Node) RoundProgram { return oneRound{} })
+				} else {
+					rn.Run(1, func(nd *Node) { nd.SendAll(tval(1)); nd.Step() })
+				}
+				if then == "clear" {
+					rn.ClearActive()
+				} else {
+					rn.SetActive([]int32{1})
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s form, flat=%v, %s: Close panicked: %v", form.name, flat, then, r)
+						}
+					}()
+					rn.Close()
+				}()
+			}
+		}
+	}
+}
+
+// oneRound sends once to every neighbor and finishes on delivery.
+type oneRound struct{}
+
+func (oneRound) Init(nd *Node) bool                   { nd.SendAll(tval(1)); return true }
+func (oneRound) OnRound(nd *Node, in []Incoming) bool { return false }

@@ -27,10 +27,16 @@
 // internally. Only a Degraded shard, whose pins are not synced while it
 // serves its last-good snapshot, can still claim such a node; once it
 // serves its own matching again the shard's match wins and the crossing
-// match dissolves. A periodic pool audit runs the Berge probe over the
-// full live graph; a failed certificate triggers the bounded
-// conflict-resolution repair — a warm full repair of the composed
-// matching — whose result is pushed back into the shards
+// match dissolves. A periodic pool audit certifies the composed matching
+// with the sequential Berge probe (check.SequentialProbe) on the pool's
+// own mirror: the pool is the coordinator of the split and holds the
+// whole liveness mask and composed matching, so it runs one alternating
+// BFS instead of simulating the distributed protocol. A failed
+// certificate triggers the bounded conflict-resolution repair, confined
+// to the probe's witness region — the nodes of the short augmenting
+// paths, closed under mates — on the resolver Runner, with a re-probe
+// and, only if that still fails, a warm full repair of the composed
+// matching. The result is pushed back into the shards
 // (Maintainer.Adopt), re-entering them into their own
 // Recovering-until-audited ladder. With the pins synced first, the
 // pushed-back restriction certifies inside the shard and stays put.

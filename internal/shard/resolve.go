@@ -335,26 +335,30 @@ func (p *Pool) Audit() Report {
 	return rep
 }
 
-// runAudit Berge-probes the composed matching over the full live graph —
-// the pool's stop-the-world epoch: it runs inside the barrier with the
-// mirror lock held, the one phase concurrent commits genuinely wait
-// behind. A failed certificate means short augmenting paths cross shard
-// boundaries — per-shard maintenance can never see them — and triggers
-// the bounded conflict-resolution pass: one warm full repair of the
-// composed matching (the pool's entire cross-shard communication cost,
-// the k-party phase-two budget), a re-probe, and a push-back of every
+// runAudit certifies the composed matching — the pool's stop-the-world
+// epoch: it runs inside the barrier with the mirror lock held, the one
+// phase concurrent commits genuinely wait behind. The pool is the
+// coordinator of the k-party split and holds the whole liveness mask and
+// composed matching, so the certificate is the sequential Berge probe
+// (check.SequentialProbe) over that mirror, not a simulated network
+// protocol. A failed certificate means short augmenting paths cross
+// shard boundaries — per-shard maintenance can never see them — and
+// triggers the bounded conflict-resolution pass: a repair of the probe's
+// witness region (every node of every shortest augmenting path, closed
+// under mates) on the resolver, a re-probe, a warm full repair and a
+// final probe only if the re-probe still fails, and a push-back of every
 // changed shard restriction via Maintainer.Adopt, which re-enters those
 // shards into their own Recovering-until-audited ladder.
 func (p *Pool) runAudit(rep *Report) {
-	probe := 2*p.opts.K - 1
+	probeLen := 2*p.opts.K - 1
 	rep.Audited = true
 	p.totals.Audits++
 	if p.tel != nil {
 		p.tel.epochs.Add(1)
 	}
-	// The pool audit event carries runAudit's whole resolver cost —
-	// probes plus any conflict repair, i.e. the slot's entire cross-shard
-	// communication bill. Engine costs are deterministic, so the record
+	// The pool audit event carries the epoch's conflict-repair cost, the
+	// slot's entire cross-shard communication bill (probes are local to
+	// the coordinator). Engine costs are deterministic, so the record
 	// replays bit-identically.
 	preRounds, preMsgs := p.totals.Rounds, p.totals.Messages
 	emitVerdict := func(ok bool) {
@@ -364,12 +368,7 @@ func (p *Pool) runAudit(rep *Report) {
 		}
 		p.emit(rep.Step, kind, -1, p.totals.Rounds-preRounds, p.totals.Messages-preMsgs)
 	}
-	r, st := p.probe(probe)
-	p.addCost(st)
-	if !r.Valid {
-		panic("shard: pool audit found an inconsistent composed matching (pool invariant broken)")
-	}
-	if r.ShortestAug == -1 {
+	if p.certify(probeLen, "pool audit") {
 		rep.CertificateOK = true
 		p.certified = true
 		emitVerdict(true)
@@ -378,29 +377,69 @@ func (p *Pool) runAudit(rep *Report) {
 	p.totals.AuditFailures++
 	p.totals.Repairs++
 	before := p.shardRestrictions()
-	st = p.repairer.Repair(p.nextSeed(), nil)
-	p.addCost(st)
-	// The repair rewrote the composed matching wholesale: restore the
-	// crossing counter by scan and re-examine the whole crossing set on
-	// the next slot — exactly what the serial full scan does anyway.
-	p.recountCrossing()
-	p.markAllCross()
-	r, st = p.probe(probe)
+	p.repairWitness()
 	p.totals.Audits++
-	p.addCost(st)
-	if !r.Valid {
-		panic("shard: post-repair audit found an inconsistent composed matching")
+	ok := p.certify(probeLen, "post-repair audit")
+	if !ok {
+		// A short augmenting path outside the witness region survived
+		// (the regional repair created or exposed it): fall back to one
+		// warm full repair of the composed matching. It rewrites the
+		// matching wholesale, so the crossing counter is restored by scan
+		// and the whole crossing set re-examined on the next slot —
+		// exactly what the serial full scan does anyway.
+		p.totals.FullRepairs++
+		if p.tel != nil {
+			p.tel.fullRepairs.Add(1)
+		}
+		p.addCost(p.repairer.Repair(p.nextSeed(), nil))
+		p.recountCrossing()
+		p.markAllCross()
+		p.totals.Audits++
+		ok = p.certify(probeLen, "post-repair audit")
 	}
-	rep.CertificateOK = r.ShortestAug == -1
-	p.certified = rep.CertificateOK
+	rep.CertificateOK = ok
+	p.certified = ok
 	emitVerdict(false)
 	p.adoptBack(before, rep.Step)
 }
 
-// probe runs the full-sweep Berge probe through the resolver runner.
-func (p *Pool) probe(probeLen int) (check.Report, *dist.Stats) {
-	p.resolver.ClearActive()
-	return check.MatchingOnRunner(p.resolver, p.gmatch, probeLen, p.nextSeed())
+// certify runs the sequential Berge probe over the mirror and reports
+// whether it certifies: no augmenting path of length ≤ probeLen. A
+// failure leaves its witness region in p.probeBuf.Witness. An invalid
+// composed matching breaks a pool invariant and panics.
+func (p *Pool) certify(probeLen int, what string) bool {
+	r := check.SequentialProbe(p.g, p.live, p.gmatch, probeLen, &p.probeBuf)
+	if !r.Valid {
+		panic("shard: " + what + " found an inconsistent composed matching (pool invariant broken)")
+	}
+	return r.ShortestAug == -1
+}
+
+// repairWitness repairs the last probe's witness region, closed under
+// mates, on the resolver — the Maintainer's regional-repair mechanism:
+// the region is installed as the Runner's active set, so only its nodes
+// are stepped and the rest of the composed matching stays frozen. Only
+// region nodes can change their match, so only their crossing edges are
+// re-queued for the next resolution pass.
+func (p *Pool) repairWitness() {
+	r := p.resolver
+	r.SetActive(p.probeBuf.Witness)
+	for _, v := range p.probeBuf.Witness {
+		if me := p.gmatch[v]; me >= 0 {
+			r.ActivateNode(p.g.Other(int(me), int(v)))
+		}
+	}
+	p.addCost(p.repairer.Repair(p.nextSeed(), r.ActiveMask()))
+	region := r.ActiveNodes()
+	p.totals.RepairNodes += int64(len(region))
+	if p.tel != nil {
+		p.tel.repairNodes.Add(int64(len(region)))
+	}
+	for _, v := range region {
+		p.markNodeCross(int(v))
+	}
+	p.recountCrossing()
+	r.ClearActive()
 }
 
 // shardRestrictions snapshots each up shard's internal restriction of

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"distmatch/internal/check"
 	"distmatch/internal/core"
 	"distmatch/internal/dist"
 	"distmatch/internal/dynamic"
@@ -170,10 +171,16 @@ type ShardStatus struct {
 }
 
 // Stats aggregates a Pool's lifetime costs. Audits counts certificate
-// probes, not audit epochs: an epoch whose first probe fails runs a
-// conflict repair and a re-probe, so it counts 2 in Audits and 1 in
-// AuditFailures, and an AuditFailures/Audits ratio of 0.5 means every
-// epoch failed. The pool_epochs_total metric counts epochs.
+// probes, not audit epochs: an epoch whose first probe fails repairs the
+// probe's witness region and re-probes, so it counts 2 in Audits and 1
+// in AuditFailures, and an epoch whose re-probe fails too adds a warm
+// full repair and a third probe, so it counts 3 in Audits and 1 in
+// FullRepairs. Epochs = Audits − AuditFailures − FullRepairs, and an
+// AuditFailures/Audits ratio of 0.5 means every epoch failed and none
+// fell back. The pool_epochs_total metric counts epochs.
+//
+// Probes run sequentially on the pool's own mirror and cost no engine
+// work: Rounds, Messages and NodeRounds are the conflict repairs alone.
 type Stats struct {
 	Applies         int
 	Routed          int64 // updates routed to shard batches
@@ -182,12 +189,14 @@ type Stats struct {
 	Kills           int   // scheduled kills (KillPlan or KillShard)
 	Crashes         int   // shards lost to panics or illegal transitions
 	Restarts        int   // completed rebuilds
-	Audits          int   // pool certificate probes (2 per failed epoch)
+	Audits          int   // pool certificate probes (2 per failed epoch, 3 with a fallback)
 	AuditFailures   int   // epochs whose first probe found a short augmenting path
-	Repairs         int   // conflict-resolution repairs
+	Repairs         int   // witness-region conflict repairs (one per failed epoch)
+	RepairNodes     int64 // summed witness-region sizes of those repairs, mate closure included
+	FullRepairs     int   // warm full repairs after a failed re-probe
 	Adopts          int   // shard push-backs after a repair
 	CrossingMatched int64 // crossing matches added by greedy resolution
-	Rounds          int64 // resolver engine rounds
+	Rounds          int64 // resolver engine rounds (conflict repairs)
 	Messages        int64
 	NodeRounds      int64
 }
@@ -287,12 +296,14 @@ type Pool struct {
 	shards []*shardSlot
 
 	// The pool's authoritative mirror: global liveness, weights (held by
-	// the resolver runner, which also runs audits and the conflict
-	// repair) and the composed matching.
+	// the resolver runner, which runs the conflict repairs) and the
+	// composed matching; probeBuf is the audit's sequential-probe
+	// scratch.
 	live     []bool
 	resolver *dist.Runner
 	repairer *core.BipartiteRepairer
 	gmatch   []int32
+	probeBuf check.ProbeBuffers
 
 	step        int
 	auditIn     int

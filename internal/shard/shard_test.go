@@ -2,12 +2,16 @@ package shard
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"distmatch/internal/check"
+	"distmatch/internal/dist"
 	"distmatch/internal/dynamic"
 	"distmatch/internal/gen"
 	"distmatch/internal/graph"
 	"distmatch/internal/rng"
+	"distmatch/internal/telemetry"
 )
 
 // testSlab is a bipartite G(n,p) slab big enough to give every one of 4
@@ -433,5 +437,90 @@ func TestPoolRepairHoldsInShards(t *testing.T) {
 	}
 	if recomputes > 8 {
 		t.Fatalf("%d shard recomputes in %d slots, want at most 8", recomputes, slots)
+	}
+}
+
+// TestPoolAuditRepairsWitnessRegion replays the churn-shaped stream of
+// TestPoolRepairHoldsInShards and pins the pool audit epoch: every epoch
+// certifies; an independent check — the distributed Berge probe on a
+// separate Runner over the stream's own liveness — confirms each
+// certificate; the witness-region repairs stay local (mean region ≤ 10%
+// of n); and the warm full-repair fallback stays rare (≤ 5% of failed
+// epochs). A Serial twin must report identically every slot, which pins
+// the crossing bookkeeping after regional repairs against the serial
+// full scan, and the repair counters must match the totals.
+func TestPoolAuditRepairsWitnessRegion(t *testing.T) {
+	g := testSlab(88, 512, 512, 1.0/128)
+	const k = 2
+	reg := telemetry.New(telemetry.Options{})
+	p := New(g, Options{K: k, Seed: 88, AuditEvery: 16, Telemetry: reg})
+	defer p.Close()
+	serial := New(g, Options{K: k, Seed: 88, AuditEvery: 16, Serial: true})
+	defer serial.Close()
+	live := make([]bool, g.M())
+	for e := range live {
+		live[e] = p.Live(e)
+	}
+	ref := dist.NewRunner(g, dist.Config{})
+	defer ref.Close()
+	matched := make([]int32, g.N())
+	r := rng.New(41)
+	const slots = 2048
+	epochs := 0
+	for step := 0; step < slots; step++ {
+		b := make(dynamic.Batch, 1+r.Intn(8))
+		for i := range b {
+			e := r.Intn(g.M())
+			switch {
+			case r.Float64() < 0.1:
+				b[i] = dynamic.Update{Edge: e, Op: dynamic.SetWeight, Weight: 1 + r.Float64()}
+			case live[e]:
+				b[i] = dynamic.Update{Edge: e, Op: dynamic.Delete}
+				live[e] = false
+			default:
+				b[i] = dynamic.Update{Edge: e, Op: dynamic.Insert}
+				live[e] = true
+			}
+		}
+		rep := p.Apply(b)
+		if srep := serial.Apply(b); !reflect.DeepEqual(rep, srep) {
+			t.Fatalf("step %d: pipelined %+v, serial %+v", step, rep, srep)
+		}
+		if !rep.Audited {
+			continue
+		}
+		epochs++
+		if !rep.CertificateOK {
+			t.Fatalf("step %d: audit epoch did not certify", step)
+		}
+		m := checkPool(t, p, fmt.Sprintf("step %d", step))
+		for e := range live {
+			ref.SetEdgeLive(e, live[e])
+		}
+		for v := range matched {
+			matched[v] = int32(m.MatchedEdge(v))
+		}
+		if got, _ := check.MatchingOnRunner(ref, matched, 2*k-1, uint64(step)); !got.Valid || got.ShortestAug != -1 {
+			t.Fatalf("step %d: certified matching fails the distributed probe: %+v", step, got)
+		}
+	}
+	tot := p.Totals()
+	t.Logf("%d slots: %d epochs, %d failed, %d full repairs, mean region %.1f of %d nodes",
+		slots, epochs, tot.AuditFailures, tot.FullRepairs, float64(tot.RepairNodes)/float64(tot.Repairs), g.N())
+	if tot.AuditFailures == 0 || tot.Repairs != tot.AuditFailures {
+		t.Fatalf("want one witness repair per failed epoch and some failures: %+v", tot)
+	}
+	if epochs != tot.Audits-tot.AuditFailures-tot.FullRepairs {
+		t.Fatalf("%d epochs, but Audits−AuditFailures−FullRepairs = %d", epochs, tot.Audits-tot.AuditFailures-tot.FullRepairs)
+	}
+	if mean := float64(tot.RepairNodes) / float64(tot.Repairs); mean > 0.1*float64(g.N()) {
+		t.Fatalf("mean repair region %.1f nodes exceeds 10%% of n = %d", mean, g.N())
+	}
+	if reg.Counter("pool_repair_nodes_total", "").Value() != tot.RepairNodes ||
+		reg.Counter("pool_full_repairs_total", "").Value() != int64(tot.FullRepairs) {
+		t.Fatalf("repair counters diverge from totals %+v", tot)
+	}
+	if 20*tot.FullRepairs > tot.AuditFailures {
+		t.Fatalf("%d full-repair fallbacks in %d failed epochs, want at most 5%%", tot.FullRepairs, tot.AuditFailures)
 	}
 }

@@ -34,6 +34,8 @@ type poolTel struct {
 	crossingCarried *telemetry.Counter // dirty crossing edges deferred to the next slot
 	resolverRounds  *telemetry.Counter
 	resolverMsgs    *telemetry.Counter
+	repairNodes     *telemetry.Counter // witness-region nodes of conflict repairs
+	fullRepairs     *telemetry.Counter // warm full repairs after a failed re-probe
 	epochs          *telemetry.Counter // stop-the-world audit epochs executed
 
 	step       *telemetry.Gauge
@@ -64,8 +66,10 @@ func newPoolTel(reg *telemetry.Registry, shards int) *poolTel {
 		crossingMatched: reg.Counter("pool_crossing_matched_total", "crossing matches added by greedy resolution"),
 		crossingScanned: reg.Counter("pool_crossing_scanned_total", "dirty crossing edges examined by resolution passes"),
 		crossingCarried: reg.Counter("pool_crossing_carried_total", "dirty crossing edges deferred to the next slot"),
-		resolverRounds:  reg.Counter("pool_resolver_rounds_total", "resolver engine rounds (audits and conflict repairs)"),
-		resolverMsgs:    reg.Counter("pool_resolver_messages_total", "resolver engine messages"),
+		resolverRounds:  reg.Counter("pool_resolver_rounds_total", "resolver engine rounds (conflict repairs)"),
+		resolverMsgs:    reg.Counter("pool_resolver_messages_total", "resolver engine messages (conflict repairs)"),
+		repairNodes:     reg.Counter("pool_repair_nodes_total", "nodes in witness-region conflict repairs"),
+		fullRepairs:     reg.Counter("pool_full_repairs_total", "warm full conflict repairs after a failed re-probe"),
 		epochs:          reg.Counter("pool_epochs_total", "stop-the-world audit epochs executed"),
 		step:            reg.Gauge("pool_step", "Apply slots executed"),
 		degraded:        reg.Gauge("pool_degraded", "1 while responses may be partial or stale"),

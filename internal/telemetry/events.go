@@ -16,6 +16,8 @@ const (
 	// A = engine rounds the audit cost, B = engine messages — both
 	// deterministic, so the per-slot audit cost is part of the replayable
 	// trace (the always-on-certification work item reads it from here).
+	// A Maintainer's audit pays for its distributed probe; a pool epoch
+	// probes sequentially, so its cost is the conflict repair alone.
 	EventAuditPass
 	EventAuditFail
 	// EventRepairWarm is a full-graph repair warm-started from the current
